@@ -30,16 +30,13 @@ from .dataset import (
     stream_sessions,
 )
 from .evaluation import AccuracyMatrix, avg_acc, bwt, evaluate_classes, familiar_view_eval
-from .orthogonal_fusion import FusionLayer, Projector, fusion_forward, projector_direct
+from .orthogonal_fusion import FusionLayer, Projector
 from .sparse_features import (
     ExtractionConfig,
     RandomEncoder,
-    SparseCoder,
     ViewFeature,
-    encode,
     extract_view_feature,
     fista_fit,
-    lipschitz_constant,
     soft_threshold,
 )
 from .trainer import (
@@ -66,14 +63,12 @@ __all__ = [
     "RandomEncoder",
     "RunConfig",
     "RunResult",
-    "SparseCoder",
     "SplitDataset",
     "StreamProtocol",
     "ViewBatch",
     "ViewFeature",
     "avg_acc",
     "bwt",
-    "encode",
     "end_of_class",
     "evaluate_classes",
     "expand_head",
@@ -81,15 +76,12 @@ __all__ = [
     "familiar_view_eval",
     "fisher_diag",
     "fista_fit",
-    "fusion_forward",
     "head_forward",
-    "lipschitz_constant",
     "load_feature_views",
     "load_idx",
     "make_permuted_views",
     "make_protocol",
     "make_synthesized_views",
-    "projector_direct",
     "run",
     "soft_threshold",
     "split_by_class",

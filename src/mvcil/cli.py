@@ -192,6 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not (args.run or args.checkpoint):
+        raise ConfigError("eval needs --run or --checkpoint")
     checkpoint = args.checkpoint or os.path.join(args.run, "checkpoint.mvcl")
     model = Model.load_checkpoint(checkpoint)
     data, _, _ = dataset.load_split(_resolve_cache(args.cache))
@@ -201,10 +203,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report_path = args.run and os.path.join(args.run, "report.csv")
     if report_path and os.path.exists(report_path):
         matrix = evaluation.parse_report(report_path)
-        c_total = matrix.num_classes
-        if c_total >= 2 and np.all(np.diag(matrix.mask)):
-            gaps = [row[c] - matrix.R[c, c] for c in range(c_total - 1)]
-            bwt_value = float(np.mean(gaps))
+        if np.all(np.diag(matrix.mask)):
+            # score the fresh row against the report's just-learned diagonal
+            for c, acc in enumerate(row[: matrix.num_classes]):
+                matrix.set_cell(matrix.num_classes - 1, c, acc)
+            bwt_value = evaluation.bwt(matrix)
     print(_metric_line(avg, bwt_value))
     return EXIT_OK
 

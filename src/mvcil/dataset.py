@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import container
-from .sparse_features import ExtractionConfig, SparseCoder, extract_view_feature
+from .sparse_features import ExtractionConfig, extract_view_feature
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -94,6 +94,25 @@ class StreamProtocol:
     def num_sessions(self) -> int:
         held = sum(len(v) for v in (self.heldout_views or {}).values())
         return self.num_classes * self.views_per_class - held
+
+    def to_dict(self) -> dict:
+        """JSON-ready form, as stored in dataset caches and run manifests."""
+        return {
+            "name": self.name,
+            "num_classes": self.num_classes,
+            "views_per_class": self.views_per_class,
+            "class_order": list(self.class_order),
+            "seed": self.seed,
+            "heldout_views": {str(c): sorted(v) for c, v in self.heldout_views.items()}
+            if self.heldout_views else None,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "StreamProtocol":
+        held = raw.get("heldout_views")
+        return cls(raw["name"], raw["num_classes"], raw["views_per_class"],
+                   tuple(raw["class_order"]), raw["seed"],
+                   {int(c): frozenset(v) for c, v in held.items()} if held else None)
 
 
 def make_protocol(
@@ -274,11 +293,6 @@ def make_synthesized_views(
     if base.views_per_class != 1:
         raise ValueError("synthesized views require a single-view base dataset")
     dim = base.view_dims()[0]
-    coder = SparseCoder(
-        lam=encoder_config.lam,
-        max_iter=encoder_config.max_iter,
-        code_activation=encoder_config.code_activation,
-    )
     train, test = [], []
     for v in range(num_views):
         enc = encoder_config.make_encoder(
@@ -286,7 +300,7 @@ def make_synthesized_views(
         )
         for pool, out in ((base.train, train), (base.test, test)):
             for batch in pool:
-                feat = extract_view_feature(enc, batch, coder)
+                feat = extract_view_feature(enc, batch, encoder_config)
                 out.append(ViewBatch(batch.class_id, v, feat.features, batch.labels))
     return SplitDataset(
         train, test, base.num_classes, num_views, encoder_config.n * encoder_config.L
@@ -422,8 +436,7 @@ def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[Vi
             yield data.train_batch(c, v)
 
 
-def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = None,
-               extra_header: dict | None = None) -> None:
+def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = None) -> None:
     """Cache a SplitDataset (and optionally its protocol) in the binary
     container; round-trips bit-exactly."""
     header: dict = {
@@ -439,17 +452,7 @@ def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = 
         },
     }
     if protocol is not None:
-        header["protocol"] = {
-            "name": protocol.name,
-            "num_classes": protocol.num_classes,
-            "views_per_class": protocol.views_per_class,
-            "class_order": list(protocol.class_order),
-            "seed": protocol.seed,
-            "heldout_views": {str(c): sorted(v) for c, v in protocol.heldout_views.items()}
-            if protocol.heldout_views else None,
-        }
-    if extra_header:
-        header.update(extra_header)
+        header["protocol"] = protocol.to_dict()
     arrays = {}
     for split, pool in (("train", data.train), ("test", data.test)):
         for i, b in enumerate(pool):
@@ -474,12 +477,5 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
         dim = tuple(dim)
     data = SplitDataset(pools["train"], pools["test"], header["num_classes"],
                         header["views_per_class"], dim)
-    protocol = None
-    if header.get("protocol"):
-        p = header["protocol"]
-        held = None
-        if p.get("heldout_views"):
-            held = {int(c): frozenset(v) for c, v in p["heldout_views"].items()}
-        protocol = StreamProtocol(p["name"], p["num_classes"], p["views_per_class"],
-                                  tuple(p["class_order"]), p["seed"], held)
+    protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
     return data, protocol, header

@@ -165,13 +165,3 @@ def parse_report(path: str) -> AccuracyMatrix:
         matrix.set_cell(after, c, acc, n)
     return matrix
 
-
-def emit_embeddings(path: str, hidden: np.ndarray, labels: np.ndarray) -> None:
-    """Fusion-layer outputs with labels as delimited text (one row per sample,
-    label in the last column), for external projection tools."""
-    hidden = np.asarray(hidden)
-    labels = np.asarray(labels).reshape(-1, 1)
-    if hidden.shape[0] != labels.shape[0]:
-        raise ValueError("hidden rows and labels disagree")
-    stacked = np.hstack([hidden, labels.astype(np.float64)])
-    np.savetxt(path, stacked, delimiter=",")

@@ -3,8 +3,8 @@
 A running d x d projector P tracks the subspace spanned by all previously
 absorbed view features; fusion-layer weights are updated only along P's
 range, so new sessions do not interfere with directions already in use.
-P is maintained by rank-1 recursive least-squares updates (with an exact
-block form for mini-batches), never by storing past features.
+P is maintained by recursive least-squares block updates (a single row is a
+block of one), never by storing past features.
 """
 
 from __future__ import annotations
@@ -12,28 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .sparse_features import ACTIVATIONS, activation_derivative, apply_activation
-
-
-def projector_direct(Z: np.ndarray, alpha: float, d: int | None = None) -> np.ndarray:
-    """Reference form: I - Z~ (Z~^T Z~ + alpha I)^-1 Z~^T with Z~ = Z^T.
-
-    Z holds absorbed features as rows [m x d]. Dense solve; intended for
-    testing and small d. Empty Z returns the identity.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.size == 0:
-        if d is None:
-            d = Z.shape[1] if Z.ndim == 2 else 0
-        if d < 1:
-            raise ValueError("empty Z requires an explicit dimension d")
-        return np.eye(d)
-    if Z.ndim != 2:
-        raise ValueError(f"Z must be a 2-d feature matrix, got shape {Z.shape}")
-    m, dim = Z.shape
-    gram = Z @ Z.T + alpha * np.eye(m)
-    return np.eye(dim) - Z.T @ np.linalg.solve(gram, Z)
 
 
 class Projector:
@@ -70,27 +48,14 @@ class Projector:
             raise ValueError("cannot absorb non-finite features")
         for start in range(0, z.shape[0], chunk_size):
             zb = z[start : start + chunk_size]
-            if zb.shape[0] == 1:
-                self._absorb_one(zb[0])
-            else:
-                self._absorb_block(zb)
+            kb = zb @ self.P  # [k x d]; P symmetric so this is (P zb^T)^T
+            gram = self.alpha * np.eye(zb.shape[0]) + kb @ zb.T
+            if not np.all(np.isfinite(gram)) or np.any(np.diag(gram) <= 0):
+                raise FloatingPointError("degenerate projector block update")
+            self.P = self.P - kb.T @ np.linalg.solve(gram, kb)
             self.samples_absorbed += zb.shape[0]
         # keep P numerically symmetric
         self.P = (self.P + self.P.T) / 2.0
-
-    def _absorb_one(self, z: np.ndarray) -> None:
-        k = self.P @ z
-        denom = self.alpha + float(z @ k)
-        if not np.isfinite(denom) or denom <= 0:
-            raise FloatingPointError(f"degenerate projector denominator {denom}")
-        self.P = self.P - np.outer(k, k) / denom
-
-    def _absorb_block(self, zb: np.ndarray) -> None:
-        kb = zb @ self.P  # [k x d]; P symmetric so this is (P zb^T)^T
-        gram = self.alpha * np.eye(zb.shape[0]) + kb @ zb.T
-        if not np.all(np.isfinite(gram)):
-            raise FloatingPointError("degenerate projector block update")
-        self.P = self.P - kb.T @ np.linalg.solve(gram, kb)
 
 
 class FusionLayer:
@@ -127,8 +92,14 @@ class FusionLayer:
     def d_out(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, Z: np.ndarray) -> np.ndarray:
-        return fusion_forward(self, Z)
+    def forward(self, Z) -> np.ndarray:
+        """activation(Z @ W + b); accepts a raw matrix or an object with .features."""
+        feats = np.asarray(getattr(Z, "features", Z), dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[1] != self.d_in:
+            raise ValueError(
+                f"expected inputs with {self.d_in} columns, got shape {feats.shape}"
+            )
+        return apply_activation(self.activation, feats @ self.weights + self.bias)
 
     def forward_with_grad(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (activations, elementwise activation derivative at the preactivation)."""
@@ -155,18 +126,3 @@ class FusionLayer:
                 raise FloatingPointError("non-finite fusion bias gradient")
             self.bias = self.bias - self.eta * np.asarray(grad_b, dtype=np.float64)
 
-
-def orthogonal_step(layer: FusionLayer, grad_w: np.ndarray, grad_b=None) -> np.ndarray:
-    layer.orthogonal_step(grad_w, grad_b)
-    return layer.weights
-
-
-def fusion_forward(layer: FusionLayer, Z) -> np.ndarray:
-    """activation(Z @ W + b); accepts a raw matrix or an object with .features."""
-    feats = getattr(Z, "features", Z)
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != layer.d_in:
-        raise ValueError(
-            f"expected inputs with {layer.d_in} columns, got shape {feats.shape}"
-        )
-    return apply_activation(layer.activation, feats @ layer.weights + layer.bias)

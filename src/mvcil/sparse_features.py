@@ -9,7 +9,7 @@ encoder's activation and original random bias.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,23 +85,6 @@ class RandomEncoder:
     def output_dim(self) -> int:
         return self.n * self.L
 
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        return encode(self, X)
-
-
-def encode(encoder: RandomEncoder, X: np.ndarray) -> np.ndarray:
-    """Concatenation over groups of activation(X @ W_g + b_g); [N x n*L]."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != encoder.input_dim:
-        raise ValueError(
-            f"expected inputs with {encoder.input_dim} columns, got shape {X.shape}"
-        )
-    blocks = [
-        apply_activation(encoder.activation, X @ w + b)
-        for w, b in zip(encoder.weights, encoder.biases)
-    ]
-    return np.concatenate(blocks, axis=1)
-
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise sign(x) * max(|x| - tau, 0)."""
@@ -111,129 +94,46 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def lipschitz_constant(
-    Z: np.ndarray, tol: float = 1e-6, max_iter: int = 1000, seed: int = 0
-) -> float:
-    """2 * lambda_max(Z^T Z) by power iteration to relative tolerance `tol`.
-
-    All-zero Z returns 0.0; the solver substitutes a unit step with a warning.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.size == 0:
-        raise ValueError("Z must be nonempty")
-    if not np.any(Z):
-        return 0.0
-    G = Z.T @ Z
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v landed in the null space; restart from a fresh direction
-            v = rng.standard_normal(G.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return 2.0 * lam
-
-
-def _objective(G: np.ndarray, B: np.ndarray, xsq: float, theta: np.ndarray, lam: float) -> float:
-    # ||Z theta - X||_F^2 expanded via precomputed G = Z^T Z, B = Z^T X, xsq = ||X||_F^2
-    quad = float(np.sum(theta * (G @ theta))) - 2.0 * float(np.sum(theta * B)) + xsq
-    return quad + lam * float(np.sum(np.abs(theta)))
-
-
-def fista_fit(
-    Z: np.ndarray,
-    X: np.ndarray,
-    lam: float,
-    K: int,
-    xi: float | None = None,
-) -> tuple[np.ndarray, list[float]]:
+def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
     """Fit decoder theta' minimizing ||Z theta' - X||_F^2 + lam * ||theta'||_1.
 
     Runs K iterations of {gradient step at y_k with step 1/xi, soft threshold
     with tau = lam/xi, momentum extrapolation with t_{k+1} = (1+sqrt(1+4 t_k^2))/2}
-    from a zero start. Returns the last prox iterate and the objective trace
-    (K+1 entries, initial value first).
+    from a zero start, where xi = 2 * lambda_max(Z^T Z) is the exact Lipschitz
+    constant of the gradient. Returns the last prox iterate.
     """
     Z = np.asarray(Z, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if Z.ndim != 2 or X.ndim != 2 or Z.shape[0] != X.shape[0]:
         raise ValueError(f"row counts must match, got Z {Z.shape} and X {X.shape}")
+    if Z.size == 0:
+        raise ValueError("Z must be nonempty")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if xi is None:
-        xi = lipschitz_constant(Z)
-    if xi == 0.0:
-        warnings.warn("all-zero code matrix: Lipschitz constant is 0, using unit step")
-        xi = 1.0
 
     G = Z.T @ Z
+    if not np.all(np.isfinite(G)):
+        raise FloatingPointError("FISTA Gram matrix is not finite")
     B = Z.T @ X
-    xsq = float(np.sum(X * X))
+    xi = 2.0 * float(np.linalg.eigvalsh(G)[-1])
+    if xi <= 0.0:
+        warnings.warn("all-zero code matrix: Lipschitz constant is 0, using unit step")
+        xi = 1.0
     theta = np.zeros((Z.shape[1], X.shape[1]))
     y = theta
     t = 1.0
-    trace = [_objective(G, B, xsq, theta, lam)]
-    for k in range(1, K + 1):
+    for _ in range(K):
         grad = 2.0 * (G @ y - B)
         theta_new = soft_threshold(y - grad / xi, lam / xi)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = theta_new + ((t - 1.0) / t_new) * (theta_new - theta)
         theta, t = theta_new, t_new
-        obj = _objective(G, B, xsq, theta, lam)
-        if not np.isfinite(obj):
-            raise FloatingPointError(f"FISTA objective diverged at iteration {k}")
-        trace.append(obj)
-    return theta, trace
-
-
-@dataclass
-class SparseCoder:
-    """FISTA solver configuration and last-fit state for one decoder.
-
-    `code_activation` selects the activation on the codes the decoder is fit
-    against (linear by default; the final re-encoding uses the encoder's own
-    activation).
-    """
-
-    lam: float = 1e-3
-    max_iter: int = 50
-    code_activation: str = "linear"
-    theta: np.ndarray | None = field(default=None, repr=False)
-    t_k: float = 1.0
-    trace: list[float] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.code_activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.code_activation!r}; expected one of {ACTIVATIONS}"
-            )
-
-    def fit(self, Z: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        theta, trace = fista_fit(Z, X, self.lam, self.max_iter)
-        self.theta = theta
-        self.trace = trace
-        t = 1.0
-        for _ in range(self.max_iter):
-            t = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        self.t_k = t
-        return theta, trace
+    # a non-finite entry never turns finite again under these updates
+    if not np.all(np.isfinite(theta)):
+        raise FloatingPointError(f"FISTA iterates diverged within {K} iterations")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -245,7 +145,6 @@ class ExtractionConfig:
     max_iter: int = 50
     lam: float = 1e-3
     activation: str = "tanh"
-    code_activation: str = "linear"
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.L < 1:
@@ -254,18 +153,14 @@ class ExtractionConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        for act in (self.activation, self.code_activation):
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}; expected one of {ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
+            )
 
     def make_encoder(self, input_dim: int, seed: int) -> "RandomEncoder":
         return RandomEncoder.create(
             input_dim, n=self.n, L=self.L, activation=self.activation, seed=seed
-        )
-
-    def make_coder(self) -> "SparseCoder":
-        return SparseCoder(
-            lam=self.lam, max_iter=self.max_iter, code_activation=self.code_activation
         )
 
 
@@ -283,7 +178,7 @@ class ViewFeature:
             raise ValueError("view feature contains non-finite entries")
 
 
-def extract_view_feature(encoder: RandomEncoder, batch, coder: SparseCoder) -> ViewFeature:
+def extract_view_feature(encoder: RandomEncoder, batch, config: ExtractionConfig) -> ViewFeature:
     """Alg.-style extraction: encode, fit the sparse decoder per group,
     re-encode with theta* = theta'^T and the original random bias.
 
@@ -299,8 +194,8 @@ def extract_view_feature(encoder: RandomEncoder, batch, coder: SparseCoder) -> V
     zeros = 0
     total = 0
     for w, b in zip(encoder.weights, encoder.biases):
-        Zg = apply_activation(coder.code_activation, X @ w + b)
-        theta_g, _ = fista_fit(Zg, X, coder.lam, coder.max_iter)
+        # the decoder is fit against the linear codes X W_g + b_g
+        theta_g = fista_fit(X @ w + b, X, config.lam, config.max_iter)
         zeros += int(np.count_nonzero(theta_g == 0.0))
         total += theta_g.size
         # theta*_g = theta'_g^T maps inputs back to this group's L nodes

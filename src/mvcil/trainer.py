@@ -27,6 +27,7 @@ import numpy as np
 from . import container, evaluation
 from .consolidation import (
     DecisionHead,
+    FisherEstimate,
     end_of_class,
     expand_head,
     fisher_diag,
@@ -220,8 +221,7 @@ class Model:
         self.slot_to_class: list[int] = []
         self.current_class: int | None = None
         self.session_index = 0
-        self._pending_fisher = None
-        self._coder = config.encoder.make_coder()
+        self._pending_fisher: FisherEstimate | None = None
         self._eval_cache: dict[int, tuple[ViewBatch, np.ndarray]] = {}
 
     # ---- feature path -------------------------------------------------
@@ -236,7 +236,7 @@ class Model:
 
     def extract(self, batch: ViewBatch) -> np.ndarray:
         enc = self.encoder_for(batch.input_dim)
-        return extract_view_feature(enc, batch, self._coder).features
+        return extract_view_feature(enc, batch, self.config.encoder).features
 
     def features_for_eval(self, batch: ViewBatch) -> np.ndarray:
         """Extraction is model-independent within a run, so test-batch
@@ -427,6 +427,10 @@ class Model:
         if self.head_projector is not None:
             arrays["head_projector"] = self.head_projector.P
             header["head_projector_samples"] = self.head_projector.samples_absorbed
+        if self._pending_fisher is not None:
+            # the current class's Fisher, folded in at the next class boundary
+            arrays["head/pending_fisher"] = self._pending_fisher.diag
+            header["pending_fisher_samples"] = self._pending_fisher.sample_count
         container.write_container(path, header, arrays)
 
     @classmethod
@@ -451,6 +455,9 @@ class Model:
         if model.head_projector is not None:
             model.head_projector.P = arrays["head_projector"]
             model.head_projector.samples_absorbed = header["head_projector_samples"]
+        if "head/pending_fisher" in arrays:
+            model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
+                                                   header["pending_fisher_samples"])
         model.slot_to_class = list(header["slot_to_class"])
         model.class_slots = {c: s for s, c in enumerate(model.slot_to_class)}
         model.current_class = header["current_class"]
@@ -514,15 +521,7 @@ def run(
         "schema_version": 1,
         "package": "mvcil",
         "config": config.to_dict(),
-        "protocol": {
-            "name": protocol.name,
-            "num_classes": protocol.num_classes,
-            "views_per_class": protocol.views_per_class,
-            "class_order": list(protocol.class_order),
-            "seed": protocol.seed,
-            "heldout_views": {str(c): sorted(v) for c, v in protocol.heldout_views.items()}
-            if protocol.heldout_views else None,
-        },
+        "protocol": protocol.to_dict(),
         "slot_to_class": model.slot_to_class,
         "random_weight_distribution": "uniform[-1,1]",
         "reencode_bias": "original random bias, weights-only fit",

@@ -18,6 +18,12 @@ needs_fashion = pytest.mark.skipif(
 )
 
 
+def objective(Z, X, theta, lam):
+    """The FISTA objective ||Z theta - X||_F^2 + lam * ||theta||_1."""
+    r = Z @ theta - X
+    return float(np.sum(r * r)) + lam * float(np.sum(np.abs(theta)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -212,6 +212,13 @@ def test_cache_without_protocol_exits_2(tmp_path, capsys):
     assert "does not embed a protocol" in capsys.readouterr().err
 
 
+def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):
+    cache = prepare_cache(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--cache", cache]) == EXIT_CONFIG
+    assert "--run or --checkpoint" in capsys.readouterr().err
+
+
 def test_io_errors_exit_3(tmp_path, capsys):
     assert main(["train", "--cache", str(tmp_path / "missing.mvcl")]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -396,9 +397,9 @@ def test_save_load_round_trip(tmp_path):
     data = make_permuted_views(base, 2, seed=7)
     proto = make_protocol("toy", 2, 2, seed=7, heldout_views={1: [0]})
     path = str(tmp_path / "toy.mvcl")
-    save_split(path, data, proto, extra_header={"note": "x"})
+    save_split(path, data, proto)
     loaded, lproto, header = load_split(path)
-    assert header["note"] == "x"
+    assert header["protocol"] == proto.to_dict()
     assert loaded.num_classes == 2
     assert loaded.views_per_class == 2
     assert loaded.input_dim == 5
@@ -407,6 +408,14 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
     assert lproto == proto
+
+
+def test_protocol_dict_round_trips_through_json():
+    for proto in (make_protocol("toy", 3, 2, seed=1),
+                  make_protocol("toy", 3, 2, seed=1, heldout_views={2: [1], 0: [0]})):
+        raw = json.loads(json.dumps(proto.to_dict()))
+        assert StreamProtocol.from_dict(raw) == proto
+    assert make_protocol("toy", 3, 2, seed=1).to_dict()["heldout_views"] is None
 
 
 def test_save_load_keeps_per_view_dims(tmp_path):

@@ -8,7 +8,6 @@ from mvcil.evaluation import (
     AccuracyMatrix,
     avg_acc,
     bwt,
-    emit_embeddings,
     emit_report,
     evaluate_classes,
     familiar_view_eval,
@@ -187,16 +186,3 @@ def test_parse_report_errors(tmp_path):
     with pytest.raises(ValueError, match="no cells"):
         parse_report(str(empty))
 
-
-def test_emit_embeddings_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    hidden = rng.standard_normal((3, 4))
-    labels = np.array([2, 0, 1])
-    path = str(tmp_path / "emb.csv")
-    emit_embeddings(path, hidden, labels)
-    back = np.loadtxt(path, delimiter=",")
-    assert back.shape == (3, 5)
-    assert np.allclose(back[:, :4], hidden)
-    assert np.array_equal(back[:, 4].astype(int), labels)
-    with pytest.raises(ValueError, match="disagree"):
-        emit_embeddings(path, hidden, labels[:2])

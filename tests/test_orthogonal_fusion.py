@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
-from mvcil.orthogonal_fusion import FusionLayer, Projector, projector_direct
+from mvcil.orthogonal_fusion import FusionLayer, Projector
+
+
+def projector_direct(Z: np.ndarray, alpha: float, d: int | None = None) -> np.ndarray:
+    """Reference form: I - Z~ (Z~^T Z~ + alpha I)^-1 Z~^T with Z~ = Z^T.
+
+    Z holds absorbed features as rows [m x d]. Dense solve; empty Z returns
+    the identity.
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.size == 0:
+        if d is None:
+            d = Z.shape[1] if Z.ndim == 2 else 0
+        if d < 1:
+            raise ValueError("empty Z requires an explicit dimension d")
+        return np.eye(d)
+    m, dim = Z.shape
+    gram = Z @ Z.T + alpha * np.eye(m)
+    return np.eye(dim) - Z.T @ np.linalg.solve(gram, Z)
 
 
 def test_direct_empty_is_identity():
@@ -34,10 +54,15 @@ def test_block_equals_rank_one_sequence(rng):
     d = 10
     Z = rng.standard_normal((23, d))
     one = Projector(d, alpha=0.5)
+    ref = np.eye(d)
     for row in Z:
         one.absorb(row)
+        # rank-1 rule: P <- P - (P z z^T P) / (alpha + z^T P z)
+        k = ref @ row
+        ref = ref - np.outer(k, k) / (0.5 + row @ k)
     block = Projector(d, alpha=0.5)
     block.absorb(Z, chunk_size=7)
+    assert np.allclose(one.P, ref, atol=1e-10)
     assert np.allclose(one.P, block.P, atol=1e-10)
     assert one.samples_absorbed == block.samples_absorbed == 23
 
@@ -99,6 +124,18 @@ def test_projector_validation(rng):
         proj.absorb(np.array([np.nan, 0.0, 0.0]))
 
 
+def test_degenerate_absorb_raises(rng):
+    # a row whose denominator alpha + z^T P z is not positive
+    proj = Projector(3, alpha=1.0)
+    proj.P = -np.eye(3)
+    with pytest.raises(FloatingPointError):
+        proj.absorb(np.ones(3))
+    # a block whose Gram matrix overflows
+    proj = Projector(3, alpha=1.0)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        proj.absorb(np.full((2, 3), 1e200))
+
+
 def test_fusion_layer_seeded_init_and_forward(rng):
     a = FusionLayer(7, 4, seed=11)
     b = FusionLayer(7, 4, seed=11)
@@ -110,6 +147,8 @@ def test_fusion_layer_seeded_init_and_forward(rng):
     out = a.forward(X)
     assert out.shape == (9, 4)
     assert np.allclose(out, np.tanh(X @ a.weights))
+    with pytest.raises(ValueError, match="7 columns"):
+        a.forward(X[:, :5])
 
 
 def test_fusion_forward_accepts_feature_object(rng):

@@ -1,0 +1,54 @@
+import dataclasses
+import importlib
+import inspect
+import os
+import sys
+
+import pytest
+
+import mvcil
+from mvcil.dataset import save_split
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+REMOVED = ("SparseCoder", "encode", "fusion_forward", "orthogonal_step",
+           "projector_direct", "emit_embeddings", "lipschitz_constant")
+
+
+def test_every_exported_name_resolves():
+    for name in mvcil.__all__:
+        assert getattr(mvcil, name) is not None, name
+
+
+def test_exports_sorted_and_unique():
+    assert list(mvcil.__all__) == sorted(set(mvcil.__all__))
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert name not in mvcil.__all__
+    assert not hasattr(mvcil, name)
+    for module in ("sparse_features", "orthogonal_fusion", "evaluation"):
+        assert not hasattr(importlib.import_module(f"mvcil.{module}"), name)
+
+
+def test_removed_members_and_parameters_are_gone():
+    assert not hasattr(mvcil.RandomEncoder, "encode")
+    assert not hasattr(mvcil.ExtractionConfig, "make_coder")
+    assert "code_activation" not in {f.name for f in dataclasses.fields(mvcil.ExtractionConfig)}
+    assert list(inspect.signature(mvcil.fista_fit).parameters) == ["Z", "X", "lam", "K"]
+    assert "extra_header" not in inspect.signature(save_split).parameters
+
+
+def test_traced_benchmark_callables_resolve(monkeypatch):
+    # the traced benchmark run wraps these attributes by name; a refactor
+    # that renames or drops one breaks `perfbench/run.py --trace 1`
+    monkeypatch.syspath_prepend(BENCH)
+    layers = importlib.import_module("layers")
+    try:
+        assert layers.TRACED
+        for owner, attr, _name, _measure in layers.TRACED:
+            assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    finally:
+        for module in ("layers", "spans"):
+            sys.modules.pop(module, None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvcil import container
-from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch
+from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, stream_sessions
 from mvcil.evaluation import parse_report
 from mvcil.orthogonal_fusion import Projector
 from mvcil.sparse_features import ExtractionConfig
@@ -143,6 +143,57 @@ def test_checkpoint_round_trip(tmp_path):
                               loaded.predict_labels(batch))
 
 
+def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
+    data, protocol = tiny_data(num_classes=4, views=2)
+    sessions = list(stream_sessions(protocol, data))
+    whole = Model(tiny_config())
+    for batch in sessions:
+        whole.train_session(batch)
+    whole.finish_stream()
+    boundaries = [i for i in range(1, len(sessions))
+                  if sessions[i].class_id != sessions[i - 1].class_id]
+    assert len(boundaries) == 3
+    for cut in boundaries:
+        first = Model(tiny_config())
+        for batch in sessions[:cut]:
+            first.train_session(batch)
+        path = str(tmp_path / f"cut{cut}.mvcl")
+        first.save_checkpoint(path)
+        resumed = Model.load_checkpoint(path)
+        for batch in sessions[cut:]:
+            resumed.train_session(batch)
+        resumed.finish_stream()
+        for x, y in zip(model_arrays(whole), model_arrays(resumed)):
+            assert np.array_equal(x, y), f"resumed at session {cut}"
+
+
+def test_finished_checkpoint_has_no_pending_fisher(tmp_path):
+    data, protocol = tiny_data()
+    out = str(tmp_path / "run")
+    run(tiny_config(), data, protocol, out_dir=out)
+    header, arrays = container.read_container(os.path.join(out, "checkpoint.mvcl"))
+    assert "head/pending_fisher" not in arrays
+    assert "pending_fisher_samples" not in header
+
+
+def test_two_layer_fusion_trains_and_round_trips(tmp_path):
+    data, protocol = tiny_data()
+    cfg = tiny_config(fusion=FusionConfig(width=8, depth=2))
+    init = Model(cfg)
+    out = str(tmp_path / "deep")
+    res = run(cfg, data, protocol, out_dir=out)
+    assert [(l.d_in, l.d_out) for l in res.model.fusion_layers] == [(6, 8), (8, 8)]
+    for layer, start in zip(res.model.fusion_layers, init.fusion_layers):
+        assert not np.allclose(layer.weights, start.weights)
+        assert layer.projector.samples_absorbed == 3 * 2 * 10
+    loaded = Model.load_checkpoint(os.path.join(out, "checkpoint.mvcl"))
+    for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
+        assert np.array_equal(x, y)
+    for batch in data.test:
+        assert np.array_equal(res.model.predict_labels(batch),
+                              loaded.predict_labels(batch))
+
+
 def test_checkpoint_kind_guard(tmp_path):
     path = str(tmp_path / "not_ckpt.mvcl")
     container.write_container(path, {"kind": "split_dataset"}, {})
@@ -164,6 +215,9 @@ def test_config_round_trip_and_rejects_unknown():
         RunConfig.from_dict({"fusion": 3})
     with pytest.raises(ConfigError, match="schema_version"):
         RunConfig.from_dict({"schema_version": 99})
+    # the decoder always fits the linear codes; the old knob is gone
+    with pytest.raises(ConfigError, match="unknown config keys in encoder"):
+        RunConfig.from_dict({"encoder": {"code_activation": "linear"}})
 
 
 def test_config_validation():
@@ -203,6 +257,7 @@ def test_run_writes_report_checkpoint_manifest(tmp_path):
     assert manifest["num_sessions"] == protocol.num_sessions
     assert manifest["state_size_bytes"] == res.model.state_size_bytes()
     assert RunConfig.from_dict(manifest["config"]) == tiny_config()
+    assert StreamProtocol.from_dict(manifest["protocol"]) == protocol
 
 
 def test_eval_cadence_view_matches_class_final_metrics():
