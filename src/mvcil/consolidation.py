@@ -18,7 +18,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FisherEstimate:
-    """Diagonal empirical Fisher over one batch of N_t samples."""
+    """Diagonal empirical Fisher over N_t samples."""
 
     diag: np.ndarray  # [h x C_seen], per-weight
     sample_count: int
@@ -51,11 +51,15 @@ class DecisionHead:
         self.bias = np.zeros(0)
         self.anchor = np.zeros((hidden_dim, 0))
         self.fisher_sum = np.zeros((hidden_dim, 0))
-        self.classes_consolidated = 0
 
     @property
     def classes_seen(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def classes_consolidated(self) -> int:
+        """Columns anchored so far; end_of_class widens the anchor."""
+        return self.anchor.shape[1]
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         H = np.asarray(H, dtype=np.float64)
@@ -164,5 +168,4 @@ def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> DecisionHead:
         )
     head.fisher_sum = head.fisher_sum + fisher.diag
     head.anchor = head.weights.copy()
-    head.classes_consolidated = head.classes_seen
     return head

@@ -167,9 +167,6 @@ class SplitDataset:
                 return b
         raise KeyError(f"no training batch for class {class_id}, view {view_id}")
 
-    def test_batches_for_class(self, class_id: int) -> list[ViewBatch]:
-        return [b for b in self.test if b.class_id == class_id]
-
 
 def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
     opener = gzip.open if _is_gzip(path) else open

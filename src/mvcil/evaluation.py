@@ -36,25 +36,18 @@ class AccuracyMatrix:
         self.mask[after, cls] = True
         self.n_samples[after, cls] = n_samples
 
-    def row(self, after: int) -> np.ndarray:
-        return self.R[after, : after + 1]
-
 
 def evaluate_classes(model, test_batches, classes_seen) -> list[float]:
     """Per-class top-1 accuracy after training through the seen classes.
 
-    `classes_seen` is either a count (classes 0..n-1) or the explicit class
-    ids in arrival order. `model` exposes predict_labels(batch) -> predicted
-    class ids; predictions range over all seen classes jointly (no task
-    identity is passed). A class's accuracy pools all its test views' samples
-    equally. Classes with no test samples get nan (caller masks the cell).
+    `classes_seen` holds the class ids in arrival order. `model` exposes
+    predict_labels(batch) -> predicted class ids; predictions range over all
+    seen classes jointly (no task identity is passed). A class's accuracy
+    pools all its test views' samples equally. Classes with no test samples
+    get nan (caller masks the cell).
     """
-    if isinstance(classes_seen, (int, np.integer)):
-        class_ids = list(range(classes_seen))
-    else:
-        class_ids = list(classes_seen)
     accs = []
-    for c in class_ids:
+    for c in classes_seen:
         correct = 0
         total = 0
         for batch in test_batches:

@@ -25,11 +25,9 @@ class Projector:
         self.dim = dim
         self.alpha = float(alpha)
         self.P = np.eye(dim)
-        self.samples_absorbed = 0
 
     def reset(self) -> None:
         self.P = np.eye(self.dim)
-        self.samples_absorbed = 0
 
     def absorb(self, z: np.ndarray, chunk_size: int = 256) -> None:
         """Absorb one feature vector or a mini-batch of rows.
@@ -53,7 +51,6 @@ class Projector:
             if not np.all(np.isfinite(gram)) or np.any(np.diag(gram) <= 0):
                 raise FloatingPointError("degenerate projector block update")
             self.P = self.P - kb.T @ np.linalg.solve(gram, kb)
-            self.samples_absorbed += zb.shape[0]
         # keep P numerically symmetric
         self.P = (self.P + self.P.T) / 2.0
 
@@ -92,14 +89,14 @@ class FusionLayer:
     def d_out(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, Z) -> np.ndarray:
-        """activation(Z @ W + b); accepts a raw matrix or an object with .features."""
-        feats = np.asarray(getattr(Z, "features", Z), dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.d_in:
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        """activation(Z @ W + b)."""
+        Z = np.asarray(Z, dtype=np.float64)
+        if Z.ndim != 2 or Z.shape[1] != self.d_in:
             raise ValueError(
-                f"expected inputs with {self.d_in} columns, got shape {feats.shape}"
+                f"expected inputs with {self.d_in} columns, got shape {Z.shape}"
             )
-        return apply_activation(self.activation, feats @ self.weights + self.bias)
+        return apply_activation(self.activation, Z @ self.weights + self.bias)
 
     def forward_with_grad(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (activations, elementwise activation derivative at the preactivation)."""

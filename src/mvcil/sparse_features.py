@@ -81,10 +81,6 @@ class RandomEncoder:
             bs.append(b)
         return cls(n, L, input_dim, activation, seed, tuple(ws), tuple(bs))
 
-    @property
-    def output_dim(self) -> int:
-        return self.n * self.L
-
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise sign(x) * max(|x| - tau, 0)."""

@@ -4,8 +4,9 @@ Each session: extract the view-optimal feature, train the fusion stack with
 projector-modulated gradient steps and the decision head with the
 consolidation penalty, then absorb the session's features into the
 projector(s). Class boundaries snapshot the anchor and fold the class's
-Fisher estimate into the running sum. Live state never grows with the number
-of sessions (only the head gains one column per class).
+Fisher estimate, pooled over all of its views, into the running sum. Live
+state never grows with the number of sessions (only the head gains one
+column per class).
 
 Modes:
     full            projector on the fusion stack + consolidated head
@@ -20,6 +21,7 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,9 +219,7 @@ class Model:
             if config.mode in ("full", "net2_orth_both")
             else None
         )
-        self.class_slots: dict[int, int] = {}
         self.slot_to_class: list[int] = []
-        self.current_class: int | None = None
         self.session_index = 0
         self._pending_fisher: FisherEstimate | None = None
         self._eval_cache: dict[int, tuple[ViewBatch, np.ndarray]] = {}
@@ -273,24 +273,22 @@ class Model:
     def train_session(self, batch: ViewBatch) -> None:
         cfg = self.config
         cid = batch.class_id
-        if cid in self.class_slots:
-            if cid != self.current_class:
+        if cid in self.slot_to_class:
+            if cid != self.slot_to_class[-1]:
                 raise ValueError(
                     f"out-of-order session: class {cid} reappeared after "
-                    f"class {self.current_class}"
+                    f"class {self.slot_to_class[-1]}"
                 )
             imprint_slot = None
         else:
-            if self.current_class is not None:
+            if self.slot_to_class:
                 self._finish_class()
                 if cfg.fusion.projector_reset_per_class:
                     for layer in self.fusion_layers:
                         layer.projector.reset()
             slot = self.head.classes_seen
             expand_head(self.head, slot)
-            self.class_slots[cid] = slot
             self.slot_to_class.append(cid)
-            self.current_class = cid
             imprint_slot = slot
 
         feats = self.extract(batch)
@@ -306,22 +304,30 @@ class Model:
                 self.head.weights[:, imprint_slot] = (
                     m * (cfg.consolidation.imprint_scale / energy)
                 )
-        slot_labels = np.full(batch.num_samples, self.class_slots[cid], dtype=np.int64)
+        slot_labels = np.full(batch.num_samples, self.slot_to_class.index(cid),
+                              dtype=np.int64)
         self._supervised_loop(feats, slot_labels)
 
         # protect what was just learned: absorb after the gradient steps
-        if cfg.fusion.projector_enabled:
-            h = feats
-            for layer in self.fusion_layers:
-                layer.projector.absorb(h)
-                h = layer.forward(h)
-        h_full = self.hidden(feats)
+        h_full = feats
+        for layer in self.fusion_layers:
+            if cfg.fusion.projector_enabled:
+                layer.projector.absorb(h_full)
+            h_full = layer.forward(h_full)
         if self.head_projector is not None:
             # normalize so each session adds O(1) energy: the projector's
             # stability/plasticity point then does not move with dataset size
             self.head_projector.absorb(h_full / np.sqrt(h_full.shape[0]))
         if self.head.mu > 0:
-            self._pending_fisher = fisher_diag(self.head, h_full, slot_labels)
+            fisher = fisher_diag(self.head, h_full, slot_labels)
+            prev = self._pending_fisher
+            if prev is not None:
+                # an earlier view of this class: the class's estimate is the
+                # sample-weighted mean over all of its views
+                n = prev.sample_count + fisher.sample_count
+                diag = (prev.diag * prev.sample_count + fisher.diag * fisher.sample_count) / n
+                fisher = FisherEstimate(diag, n)
+            self._pending_fisher = fisher
         self.session_index += 1
 
     def _supervised_loop(self, feats: np.ndarray, slot_labels: np.ndarray) -> None:
@@ -389,18 +395,24 @@ class Model:
 
     # ---- accounting / serialization -----------------------------------
 
+    def _state(self) -> Iterator[tuple[str, object, str]]:
+        """(checkpoint name, owner, attribute) for every live array; the
+        encoders are left out because the seed regenerates them."""
+        for i, layer in enumerate(self.fusion_layers):
+            yield f"fusion/{i}/weights", layer, "weights"
+            yield f"fusion/{i}/bias", layer, "bias"
+            yield f"fusion/{i}/projector", layer.projector, "P"
+        for attr in ("weights", "bias", "anchor", "fisher_sum"):
+            yield f"head/{attr}", self.head, attr
+        if self.head_projector is not None:
+            yield "head_projector", self.head_projector, "P"
+
     def state_size_bytes(self) -> int:
         """Bytes held by live training state (excludes eval-time caches)."""
-        total = 0
+        total = sum(getattr(owner, attr).nbytes for _, owner, attr in self._state())
         for enc in self.encoders.values():
             total += sum(w.nbytes for w in enc.weights)
             total += sum(b.nbytes for b in enc.biases)
-        for layer in self.fusion_layers:
-            total += layer.weights.nbytes + layer.bias.nbytes + layer.projector.P.nbytes
-        total += (self.head.weights.nbytes + self.head.bias.nbytes
-                  + self.head.anchor.nbytes + self.head.fisher_sum.nbytes)
-        if self.head_projector is not None:
-            total += self.head_projector.P.nbytes
         return total
 
     def save_checkpoint(self, path: str) -> None:
@@ -408,25 +420,10 @@ class Model:
             "kind": "checkpoint",
             "config": self.config.to_dict(),
             "slot_to_class": self.slot_to_class,
-            "current_class": self.current_class,
             "session_index": self.session_index,
-            "classes_consolidated": self.head.classes_consolidated,
             "encoder_dims": sorted(self.encoders),
         }
-        arrays: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.fusion_layers):
-            arrays[f"fusion/{i}/weights"] = layer.weights
-            arrays[f"fusion/{i}/bias"] = layer.bias
-            arrays[f"fusion/{i}/projector"] = layer.projector.P
-            header[f"fusion_{i}_samples_absorbed"] = layer.projector.samples_absorbed
-        arrays["head/weights"] = self.head.weights
-        arrays["head/bias"] = self.head.bias
-        arrays["head/anchor"] = self.head.anchor
-        arrays["head/fisher_sum"] = self.head.fisher_sum
-        arrays["head/mu"] = np.array([self.head.mu])
-        if self.head_projector is not None:
-            arrays["head_projector"] = self.head_projector.P
-            header["head_projector_samples"] = self.head_projector.samples_absorbed
+        arrays = {name: getattr(owner, attr) for name, owner, attr in self._state()}
         if self._pending_fisher is not None:
             # the current class's Fisher, folded in at the next class boundary
             arrays["head/pending_fisher"] = self._pending_fisher.diag
@@ -440,27 +437,12 @@ class Model:
             raise container.ContainerError(f"{path!r} is not a checkpoint")
         config = RunConfig.from_dict(header["config"])
         model = cls(config)
-        for i, layer in enumerate(model.fusion_layers):
-            layer.weights = arrays[f"fusion/{i}/weights"]
-            layer.bias = arrays[f"fusion/{i}/bias"]
-            layer.projector.P = arrays[f"fusion/{i}/projector"]
-            layer.projector.samples_absorbed = header[f"fusion_{i}_samples_absorbed"]
-        head = model.head
-        head.weights = arrays["head/weights"]
-        head.bias = arrays["head/bias"]
-        head.anchor = arrays["head/anchor"]
-        head.fisher_sum = arrays["head/fisher_sum"]
-        head.mu = float(arrays["head/mu"][0])
-        head.classes_consolidated = header["classes_consolidated"]
-        if model.head_projector is not None:
-            model.head_projector.P = arrays["head_projector"]
-            model.head_projector.samples_absorbed = header["head_projector_samples"]
+        for name, owner, attr in model._state():
+            setattr(owner, attr, arrays[name])
         if "head/pending_fisher" in arrays:
             model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
                                                    header["pending_fisher_samples"])
         model.slot_to_class = list(header["slot_to_class"])
-        model.class_slots = {c: s for s, c in enumerate(model.slot_to_class)}
-        model.current_class = header["current_class"]
         model.session_index = header["session_index"]
         for dim in header["encoder_dims"]:
             model.encoder_for(dim)

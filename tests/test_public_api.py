@@ -40,6 +40,27 @@ def test_removed_members_and_parameters_are_gone():
     assert "extra_header" not in inspect.signature(save_split).parameters
 
 
+def test_derived_and_unread_state_is_gone():
+    for owner, attr in ((mvcil.SplitDataset, "test_batches_for_class"),
+                        (mvcil.AccuracyMatrix, "row"),
+                        (mvcil.RandomEncoder, "output_dim")):
+        assert not hasattr(owner, attr), f"{owner.__name__}.{attr}"
+    model = mvcil.Model(mvcil.RunConfig())
+    assert not hasattr(model, "class_slots")
+    assert not hasattr(model, "current_class")
+    assert not hasattr(model.fusion_layers[0].projector, "samples_absorbed")
+    assert not hasattr(model.head_projector, "samples_absorbed")
+    with pytest.raises(TypeError):
+        mvcil.evaluate_classes(model, [], 2)  # the class-count form is gone
+
+
+def test_classes_consolidated_is_read_only():
+    head = mvcil.DecisionHead(3)
+    assert head.classes_consolidated == 0
+    with pytest.raises(AttributeError):
+        head.classes_consolidated = 1
+
+
 def test_traced_benchmark_callables_resolve(monkeypatch):
     # the traced benchmark run wraps these attributes by name; a refactor
     # that renames or drops one breaks `perfbench/run.py --trace 1`

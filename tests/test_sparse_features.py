@@ -12,7 +12,7 @@ from mvcil.sparse_features import (
     soft_threshold,
 )
 
-from conftest import objective
+from mvcil_support import objective
 
 
 class Batch:
@@ -151,7 +151,7 @@ def test_encoder_seeded_and_frozen():
 
 def test_encoder_shape_and_range():
     enc = RandomEncoder.create(6, n=2, L=5, seed=0)
-    assert enc.output_dim == 10
+    assert enc.n * enc.L == 10
     assert [w.shape for w in enc.weights] == [(6, 5)] * 2
     assert [b.shape for b in enc.biases] == [(5,)] * 2
     assert np.all(np.abs(enc.weights[0]) <= 1.0)

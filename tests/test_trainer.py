@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mvcil import container
+from mvcil import container, trainer
 from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, stream_sessions
 from mvcil.evaluation import parse_report
 from mvcil.orthogonal_fusion import Projector
@@ -97,8 +97,7 @@ def test_slot_labels_follow_arrival_order():
     for cid in (2, 0, 1):
         model.train_session(data.train_batch(cid, 0))
     assert model.slot_to_class == [2, 0, 1]
-    assert model.class_slots == {2: 0, 0: 1, 1: 2}
-    preds = model.predict_labels(data.test_batches_for_class(0)[0])
+    preds = model.predict_labels([b for b in data.test if b.class_id == 0][0])
     assert set(preds.tolist()) <= {0, 1, 2}  # predictions are class ids, not slots
 
 
@@ -114,6 +113,15 @@ def test_state_size_independent_of_sessions_per_class():
         model.finish_stream()
         sizes.append(model.state_size_bytes())
     assert sizes[0] == sizes[1]
+
+
+def test_state_size_counts_live_arrays_and_encoders():
+    data, protocol = tiny_data()
+    model = run(tiny_config(), data, protocol).model
+    want = sum(a.nbytes for a in model_arrays(model))
+    for enc in model.encoders.values():
+        want += sum(w.nbytes for w in enc.weights) + sum(b.nbytes for b in enc.biases)
+    assert model.state_size_bytes() == want
 
 
 def test_projector_reset_per_class():
@@ -167,6 +175,52 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
             assert np.array_equal(x, y), f"resumed at session {cut}"
 
 
+def test_legacy_checkpoint_keys_are_ignored(tmp_path):
+    # checkpoints from earlier versions also stored mu as an array and
+    # four derived or unread header keys; they still load the same model
+    data, protocol = tiny_data()
+    res = run(tiny_config(), data, protocol)
+    path = str(tmp_path / "legacy.mvcl")
+    res.model.save_checkpoint(path)
+    header, arrays = container.read_container(path)
+    header.update(current_class=2, classes_consolidated=3,
+                  fusion_0_samples_absorbed=60, head_projector_samples=60)
+    arrays["head/mu"] = np.array([res.model.head.mu])
+    container.write_container(path, header, arrays)
+    loaded = Model.load_checkpoint(path)
+    for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
+        assert np.array_equal(x, y)
+    assert loaded.head.mu == res.model.head.mu
+    for batch in data.test:
+        assert np.array_equal(res.model.predict_labels(batch),
+                              loaded.predict_labels(batch))
+
+
+def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
+    data, _ = tiny_data(num_classes=2, views=3)
+    original = trainer.fisher_diag
+    estimates = []
+
+    def recording(*args):
+        estimates.append(original(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(trainer, "fisher_diag", recording)
+    model = Model(tiny_config())
+    model.train_session(data.train_batch(0, 0))
+    # the second class: a lone first class has a vanishing Fisher
+    for v in range(3):
+        model.train_session(data.train_batch(1, v))
+    path = str(tmp_path / "mid.mvcl")
+    model.save_checkpoint(path)
+    header, arrays = container.read_container(path)
+    assert header["pending_fisher_samples"] == 3 * 10
+    # equal view sizes: the sample-weighted mean is the plain mean
+    want = np.mean([e.diag for e in estimates[-3:]], axis=0)
+    assert np.any(want > 0)
+    np.testing.assert_allclose(arrays["head/pending_fisher"], want, rtol=1e-12)
+
+
 def test_finished_checkpoint_has_no_pending_fisher(tmp_path):
     data, protocol = tiny_data()
     out = str(tmp_path / "run")
@@ -176,16 +230,24 @@ def test_finished_checkpoint_has_no_pending_fisher(tmp_path):
     assert "pending_fisher_samples" not in header
 
 
-def test_two_layer_fusion_trains_and_round_trips(tmp_path):
+def test_two_layer_fusion_trains_and_round_trips(tmp_path, monkeypatch):
     data, protocol = tiny_data()
     cfg = tiny_config(fusion=FusionConfig(width=8, depth=2))
     init = Model(cfg)
+    rows: dict[int, int] = {}
+    absorb = Projector.absorb
+
+    def counting(self, z, *args):
+        rows[id(self)] = rows.get(id(self), 0) + np.atleast_2d(z).shape[0]
+        absorb(self, z, *args)
+
+    monkeypatch.setattr(Projector, "absorb", counting)
     out = str(tmp_path / "deep")
     res = run(cfg, data, protocol, out_dir=out)
     assert [(l.d_in, l.d_out) for l in res.model.fusion_layers] == [(6, 8), (8, 8)]
     for layer, start in zip(res.model.fusion_layers, init.fusion_layers):
         assert not np.allclose(layer.weights, start.weights)
-        assert layer.projector.samples_absorbed == 3 * 2 * 10
+        assert rows[id(layer.projector)] == 3 * 2 * 10
     loaded = Model.load_checkpoint(os.path.join(out, "checkpoint.mvcl"))
     for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
         assert np.array_equal(x, y)
