@@ -5,7 +5,7 @@ boundary the current weights become the anchor and the class's diagonal
 Fisher estimate is added to a single running sum, so the quadratic penalty
 (mu/2) * sum fisher_sum * (W - anchor)^2 needs O(h * C) memory no matter
 how many classes have passed. The penalty covers output weights only; the
-bias trains free.
+trainer never steps the bias, so it stays at zero.
 """
 
 from __future__ import annotations

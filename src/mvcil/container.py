@@ -70,7 +70,7 @@ def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> N
                 f.write(dtype_b)
                 f.write(struct.pack("<B", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-                f.write(arr.tobytes(order="C"))
+                f.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,11 +80,13 @@ def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> N
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by write_container; returns (header, arrays)."""
+    # slices of a memoryview share the file's bytes, so each array's data is
+    # copied once, into the array's own buffer
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
     off = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal off
         if off + n > len(blob):
             raise ContainerError(f"truncated container: reading {what} at offset {off}")
@@ -97,14 +99,14 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     version, hdr_len = struct.unpack("<HI", take(6, "version/header length"))
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    header = json.loads(take(hdr_len, "header").decode("utf-8"))
+    header = json.loads(str(take(hdr_len, "header"), "utf-8"))
     (n_arrays,) = struct.unpack("<I", take(4, "array count"))
     arrays: dict[str, np.ndarray] = {}
     for i in range(n_arrays):
         (name_len,) = struct.unpack("<H", take(2, f"array {i} name length"))
-        name = take(name_len, f"array {i} name").decode("utf-8")
+        name = str(take(name_len, f"array {i} name"), "utf-8")
         (dtype_len,) = struct.unpack("<B", take(1, f"array {name} dtype length"))
-        dtype = np.dtype(take(dtype_len, f"array {name} dtype").decode("ascii"))
+        dtype = np.dtype(str(take(dtype_len, f"array {name} dtype"), "ascii"))
         (ndim,) = struct.unpack("<B", take(1, f"array {name} ndim"))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"array {name} shape")) if ndim else ()
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1

@@ -293,7 +293,7 @@ def make_synthesized_views(
     train, test = [], []
     for v in range(num_views):
         enc = encoder_config.make_encoder(
-            dim, seed=_derive_seed(seed, 0x53, v)
+            dim, seed=int(derive_seed(seed, 0x53, v).generate_state(1)[0])
         )
         for pool, out in ((base.train, train), (base.test, test)):
             for batch in pool:
@@ -304,8 +304,9 @@ def make_synthesized_views(
     )
 
 
-def _derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def derive_seed(*parts: int) -> np.random.SeedSequence:
+    """One independent random stream per tuple of integer parts."""
+    return np.random.SeedSequence([int(p) for p in parts])
 
 
 def load_feature_views(

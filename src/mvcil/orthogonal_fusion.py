@@ -26,9 +26,6 @@ class Projector:
         self.alpha = float(alpha)
         self.P = np.eye(dim)
 
-    def reset(self) -> None:
-        self.P = np.eye(self.dim)
-
     def absorb(self, z: np.ndarray, chunk_size: int = 256) -> None:
         """Absorb one feature vector or a mini-batch of rows.
 

@@ -165,8 +165,6 @@ class ViewFeature:
     """View-optimal feature matrix for one (class, view) batch."""
 
     features: np.ndarray
-    class_id: int
-    view_id: int
     sparsity: float
 
     def __post_init__(self) -> None:
@@ -197,9 +195,4 @@ def extract_view_feature(encoder: RandomEncoder, batch, config: ExtractionConfig
         # theta*_g = theta'_g^T maps inputs back to this group's L nodes
         blocks.append(apply_activation(encoder.activation, X @ theta_g.T + b))
     feats = np.concatenate(blocks, axis=1)
-    return ViewFeature(
-        features=feats,
-        class_id=int(batch.class_id),
-        view_id=int(batch.view_id),
-        sparsity=zeros / total,
-    )
+    return ViewFeature(features=feats, sparsity=zeros / total)

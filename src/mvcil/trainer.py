@@ -35,7 +35,7 @@ from .consolidation import (
     fisher_diag,
     swc_loss_and_grad,
 )
-from .dataset import SplitDataset, StreamProtocol, ViewBatch, stream_sessions
+from .dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from .orthogonal_fusion import FusionLayer, Projector
 from .sparse_features import ExtractionConfig, extract_view_feature
 
@@ -54,7 +54,6 @@ class FusionConfig:
     width: int = 200
     depth: int = 1
     activation: str = "tanh"
-    projector_reset_per_class: bool = False
     projector_enabled: bool = True
     head_projector_alpha: float = 1.0  # 0 means: reuse alpha
 
@@ -79,10 +78,9 @@ class ConsolidationConfig:
     mu: float = 1000.0
     epochs_per_session: int = 8
     batch_size: int = 64
-    max_steps_per_session: int = 60  # 0 means: no cap
-    head_lr: float = 2e-3  # 0 means: reuse fusion.eta
-    train_head_bias: bool = False
-    imprint_scale: float = 2.0  # 0 means: zero-init new head columns
+    max_steps_per_session: int = 60
+    head_lr: float = 2e-3
+    imprint_scale: float = 2.0
 
     def __post_init__(self) -> None:
         if self.mu < 0:
@@ -96,19 +94,37 @@ class ConsolidationConfig:
             raise ConfigError(
                 f"consolidation.batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.max_steps_per_session < 0:
+        if self.max_steps_per_session < 1:
             raise ConfigError(
-                f"consolidation.max_steps_per_session must be >= 0, got "
+                f"consolidation.max_steps_per_session must be >= 1, got "
                 f"{self.max_steps_per_session}"
             )
-        if self.head_lr < 0:
+        if self.head_lr <= 0:
             raise ConfigError(
-                f"consolidation.head_lr must be >= 0, got {self.head_lr}"
+                f"consolidation.head_lr must be > 0, got {self.head_lr}"
             )
-        if self.imprint_scale < 0:
+        if self.imprint_scale <= 0:
             raise ConfigError(
-                f"consolidation.imprint_scale must be >= 0, got {self.imprint_scale}"
+                f"consolidation.imprint_scale must be > 0, got {self.imprint_scale}"
             )
+
+
+SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
+            "consolidation": ConsolidationConfig}
+# keys earlier versions wrote, each accepted only at the value the code now
+# always uses, so their checkpoints and manifests still load
+RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
+           "consolidation.train_head_bias": False}
+
+
+def _retired(key: str, value) -> bool:
+    if key not in RETIRED:
+        return False
+    if value != RETIRED[key]:
+        raise ConfigError(
+            f"config key {key!r} is retired: only {RETIRED[key]!r} is accepted, got {value!r}"
+        )
+    return True
 
 
 @dataclass(frozen=True)
@@ -118,26 +134,13 @@ class RunConfig:
     encoder: ExtractionConfig = field(default_factory=ExtractionConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     consolidation: ConsolidationConfig = field(default_factory=ConsolidationConfig)
-    eval_cadence: str = "class"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.eval_cadence not in ("class", "view"):
-            raise ConfigError(
-                f"eval_cadence must be 'class' or 'view', got {self.eval_cadence!r}"
-            )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "seed": self.seed,
-            "mode": self.mode,
-            "encoder": dataclasses.asdict(self.encoder),
-            "fusion": dataclasses.asdict(self.fusion),
-            "consolidation": dataclasses.asdict(self.consolidation),
-            "eval_cadence": self.eval_cadence,
-        }
+        return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -145,22 +148,23 @@ class RunConfig:
         version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version}")
-        sections = {"encoder": ExtractionConfig, "fusion": FusionConfig,
-                    "consolidation": ConsolidationConfig}
         kwargs: dict = {}
         for key, value in raw.items():
-            if key in sections:
+            if key in SECTIONS:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be an object")
-                known = {f.name for f in dataclasses.fields(sections[key])}
+                value = {k: v for k, v in value.items() if not _retired(f"{key}.{k}", v)}
+                known = {f.name for f in dataclasses.fields(SECTIONS[key])}
                 unknown = set(value) - known
                 if unknown:
                     raise ConfigError(f"unknown config keys in {key}: {sorted(unknown)}")
                 try:
-                    kwargs[key] = sections[key](**value)
+                    kwargs[key] = SECTIONS[key](**value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {key} config: {exc}") from exc
-            elif key in ("seed", "mode", "eval_cadence"):
+            elif _retired(key, value):
+                continue
+            elif key in ("seed", "mode"):
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -172,27 +176,21 @@ class RunConfig:
 
 def config_field_types() -> dict[str, type]:
     """Dotted config key -> expected scalar type (for override parsing)."""
-    out: dict[str, type] = {"seed": int, "mode": str, "eval_cadence": str}
-    for section, klass in (("encoder", ExtractionConfig), ("fusion", FusionConfig),
-                           ("consolidation", ConsolidationConfig)):
+    out = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)
+           if f.name not in SECTIONS}
+    for section, klass in SECTIONS.items():
         for f in dataclasses.fields(klass):
-            out[f"{section}.{f.name}"] = f.type if isinstance(f.type, type) else {
-                "int": int, "float": float, "str": str, "bool": bool
-            }[f.type]
+            out[f"{section}.{f.name}"] = type(f.default)
     return out
-
-
-def _derive_seed(*parts) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(p) for p in parts])
 
 
 class Model:
     """Live model state: frozen encoders, fusion stack, decision head."""
 
-    def __init__(self, config: RunConfig, feature_dim: int | None = None):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.encoders: dict[int, object] = {}
-        d_in = feature_dim if feature_dim is not None else config.encoder.n * config.encoder.L
+        d_in = config.encoder.n * config.encoder.L
         self.fusion_layers: list[FusionLayer] = []
         for i in range(config.fusion.depth):
             layer_in = d_in if i == 0 else config.fusion.width
@@ -203,7 +201,7 @@ class Model:
                     activation=config.fusion.activation,
                     eta=config.fusion.eta,
                     alpha=config.fusion.alpha,
-                    seed=int(_derive_seed(config.seed, 0xF5, i).generate_state(1)[0]),
+                    seed=int(derive_seed(config.seed, 0xF5, i).generate_state(1)[0]),
                 )
             )
         head_mu = config.consolidation.mu if config.mode == "full" else 0.0
@@ -229,7 +227,7 @@ class Model:
     def encoder_for(self, input_dim: int):
         enc = self.encoders.get(input_dim)
         if enc is None:
-            seed = int(_derive_seed(self.config.seed, 0xE2C, input_dim).generate_state(1)[0])
+            seed = int(derive_seed(self.config.seed, 0xE2C, input_dim).generate_state(1)[0])
             enc = self.config.encoder.make_encoder(input_dim, seed=seed)
             self.encoders[input_dim] = enc
         return enc
@@ -283,16 +281,13 @@ class Model:
         else:
             if self.slot_to_class:
                 self._finish_class()
-                if cfg.fusion.projector_reset_per_class:
-                    for layer in self.fusion_layers:
-                        layer.projector.reset()
             slot = self.head.classes_seen
             expand_head(self.head, slot)
             self.slot_to_class.append(cid)
             imprint_slot = slot
 
         feats = self.extract(batch)
-        if imprint_slot is not None and cfg.consolidation.imprint_scale > 0:
+        if imprint_slot is not None:
             # seed the fresh column with the class's mean hidden direction,
             # scaled so its mean logit starts near imprint_scale. A zero
             # column never trains when the class arrives alone (single-class
@@ -335,22 +330,21 @@ class Model:
         n = feats.shape[0]
         bs = min(cfg.consolidation.batch_size, n)
         rng = np.random.default_rng(
-            _derive_seed(cfg.seed, 0xB5, self.session_index)
+            derive_seed(cfg.seed, 0xB5, self.session_index)
         )
-        eta = cfg.fusion.eta
-        head_lr = cfg.consolidation.head_lr or eta
+        head_lr = cfg.consolidation.head_lr
         # fixed per-session work budget: without it the step count (and with
         # it the unprotected new column's logit climb) scales with dataset
         # size, and larger streams forget catastrophically at settings that
         # are stable on small ones
-        budget = cfg.consolidation.max_steps_per_session or None
+        budget = cfg.consolidation.max_steps_per_session
         steps = 0
         for _ in range(cfg.consolidation.epochs_per_session):
-            if budget is not None and steps >= budget:
+            if steps >= budget:
                 break
             perm = rng.permutation(n)
             for start in range(0, n, bs):
-                if budget is not None and steps >= budget:
+                if steps >= budget:
                     break
                 steps += 1
                 idx = perm[start : start + bs]
@@ -373,8 +367,6 @@ class Model:
                 else:
                     step_w = grads.grad_w
                 self.head.weights = self.head.weights - head_lr * step_w
-                if cfg.consolidation.train_head_bias:
-                    self.head.bias = self.head.bias - head_lr * grads.grad_b
                 d = grads.grad_hidden
                 for layer, (layer_in, _out), dact in zip(
                     reversed(self.fusion_layers), reversed(outs), reversed(dacts)
@@ -464,7 +456,7 @@ def run(
     protocol: StreamProtocol,
     out_dir: str | None = None,
 ) -> RunResult:
-    """Consume the full stream, evaluating after each class (or view).
+    """Consume the full stream, evaluating after the last view of each class.
 
     Writes report.csv, checkpoint.mvcl, and manifest.json to out_dir when
     given; the report is rewritten incrementally as rows complete.
@@ -477,24 +469,21 @@ def run(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    def eval_after(classes_done: int) -> None:
+    for i, batch in enumerate(sessions):
+        start = time.perf_counter()
+        model.train_session(batch)
+        timings.append(time.perf_counter() - start)
+        if i + 1 < len(sessions) and sessions[i + 1].class_id == batch.class_id:
+            continue
         row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
         for slot, acc in enumerate(row):
             if np.isnan(acc):
                 continue
             n = sum(b.num_samples for b in data.test
                     if b.class_id == model.slot_to_class[slot])
-            matrix.set_cell(classes_done - 1, slot, acc, n)
+            matrix.set_cell(len(model.slot_to_class) - 1, slot, acc, n)
         if report_path:
             evaluation.emit_report(report_path, matrix)
-
-    for i, batch in enumerate(sessions):
-        start = time.perf_counter()
-        model.train_session(batch)
-        timings.append(time.perf_counter() - start)
-        last_of_class = i + 1 == len(sessions) or sessions[i + 1].class_id != batch.class_id
-        if config.eval_cadence == "view" or last_of_class:
-            eval_after(len(model.slot_to_class))
     model.finish_stream()
 
     final_avg = evaluation.avg_acc(matrix)

@@ -24,7 +24,6 @@ METRIC_RE = re.compile(r"^avg_acc=[01]\.\d{6} bwt=(-?\d+\.\d{6}|null)$")
 TINY = [
     "encoder.n=2", "encoder.L=3", "encoder.max_iter=3", "fusion.width=8",
     "consolidation.epochs_per_session=2", "consolidation.head_lr=0.003",
-    "consolidation.train_head_bias=false",
 ]
 
 
@@ -184,6 +183,8 @@ def test_prepare_bare_out_name_goes_to_cache_dir(tmp_path, capsys):
 
 def test_config_errors_exit_2(tmp_path, capsys):
     src = make_idx_dir(tmp_path)
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({"eval_cadence": "view"}))
     cases = [
         ["prepare", "--protocol", "p-3x2", "--source-dir", src],
         ["prepare", "--protocol", "xmnist-3x2", "--source-dir", src],
@@ -197,6 +198,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["prepare", "--protocol", "t", "--features", "f.csv"],
         ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
          "--heldout", "0-1"],
+        ["train", "--cache", "none.mvcl", "--config", str(retired)],
+        ["train", "--cache", "none.mvcl", "--set", "consolidation.head_lr=0"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
@@ -286,14 +289,18 @@ def test_report_refuses_mixed_protocols(tmp_path, capsys):
 def test_parse_overrides_types():
     out = parse_overrides(["seed=3", "fusion.alpha=0.5", "mode=full",
                            "fusion.projector_enabled=false",
-                           "consolidation.train_head_bias=True"])
+                           "consolidation.max_steps_per_session=5"])
     assert out == {"seed": 3, "fusion.alpha": 0.5, "mode": "full",
                    "fusion.projector_enabled": False,
-                   "consolidation.train_head_bias": True}
+                   "consolidation.max_steps_per_session": 5}
+    assert parse_overrides(["fusion.projector_enabled=True"]) == {
+        "fusion.projector_enabled": True}
     with pytest.raises(ConfigError, match="not key=value"):
         parse_overrides(["seed"])
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_overrides(["bogus=1"])
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_overrides(["consolidation.train_head_bias=false"])  # retired
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_overrides(["fusion.projector_enabled=maybe"])
 

@@ -102,14 +102,6 @@ def test_alpha_monotonicity_of_suppression(rng):
     assert all(a < b for a, b in zip(traces, traces[1:]))
 
 
-def test_projector_reset():
-    proj = Projector(5, alpha=1.0)
-    proj.absorb(np.ones(5))
-    assert not np.array_equal(proj.P, np.eye(5))
-    proj.reset()
-    assert np.array_equal(proj.P, np.eye(5))
-
-
 def test_projector_validation(rng):
     with pytest.raises(ValueError):
         Projector(0, 1.0)

@@ -38,6 +38,13 @@ def test_removed_members_and_parameters_are_gone():
     assert "code_activation" not in {f.name for f in dataclasses.fields(mvcil.ExtractionConfig)}
     assert list(inspect.signature(mvcil.fista_fit).parameters) == ["Z", "X", "lam", "K"]
     assert "extra_header" not in inspect.signature(save_split).parameters
+    assert not hasattr(mvcil.Projector, "reset")
+    assert "feature_dim" not in inspect.signature(mvcil.Model).parameters
+    for klass, name in ((mvcil.RunConfig, "eval_cadence"),
+                        (mvcil.FusionConfig, "projector_reset_per_class"),
+                        (mvcil.ConsolidationConfig, "train_head_bias")):
+        assert name not in {f.name for f in dataclasses.fields(klass)}, name
+    assert [f.name for f in dataclasses.fields(mvcil.ViewFeature)] == ["features", "sparsity"]
 
 
 def test_derived_and_unread_state_is_gone():

@@ -16,10 +16,8 @@ from mvcil_support import objective
 
 
 class Batch:
-    def __init__(self, inputs, class_id=0, view_id=0):
+    def __init__(self, inputs):
         self.inputs = inputs
-        self.class_id = class_id
-        self.view_id = view_id
 
 
 def ista_reference(Z, X, lam, iters):
@@ -162,10 +160,9 @@ def test_extract_view_feature_contract(rng):
     cfg = ExtractionConfig(lam=1e-3, max_iter=30)
     X = rng.uniform(0, 1, size=(25, 9))
     before = [w.copy() for w in enc.weights]
-    vf = extract_view_feature(enc, Batch(X, class_id=2, view_id=1), cfg)
+    vf = extract_view_feature(enc, Batch(X), cfg)
     assert vf.features.shape == (25, 8)
     assert 0.0 <= vf.sparsity <= 1.0
-    assert vf.class_id == 2 and vf.view_id == 1
     assert np.all(np.abs(vf.features) <= 1.0)  # tanh range
     for w, w0 in zip(enc.weights, before):
         assert np.array_equal(w, w0)

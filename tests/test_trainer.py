@@ -45,8 +45,7 @@ def tiny_config(**overrides):
         mode="full",
         encoder=ExtractionConfig(n=2, L=3, max_iter=3),
         fusion=FusionConfig(width=8),
-        consolidation=ConsolidationConfig(epochs_per_session=2, head_lr=3e-3,
-                                          train_head_bias=False),
+        consolidation=ConsolidationConfig(epochs_per_session=2, head_lr=3e-3),
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
@@ -124,18 +123,6 @@ def test_state_size_counts_live_arrays_and_encoders():
     assert model.state_size_bytes() == want
 
 
-def test_projector_reset_per_class():
-    data, protocol = tiny_data(num_classes=2, views=1)
-    cfg = tiny_config(fusion=FusionConfig(width=8, projector_reset_per_class=True))
-    res = run(cfg, data, protocol)
-    # after the reset at the class boundary, the fusion projector has only
-    # absorbed the last class's features (extraction is model-independent)
-    feats_last = res.model.extract(data.train_batch(1, 0))
-    fresh = Projector(feats_last.shape[1], cfg.fusion.alpha)
-    fresh.absorb(feats_last)
-    assert np.allclose(res.model.fusion_layers[0].projector.P, fresh.P)
-
-
 def test_checkpoint_round_trip(tmp_path):
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
@@ -176,8 +163,9 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
 
 
 def test_legacy_checkpoint_keys_are_ignored(tmp_path):
-    # checkpoints from earlier versions also stored mu as an array and
-    # four derived or unread header keys; they still load the same model
+    # checkpoints from earlier versions also stored mu as an array, four
+    # derived or unread header keys, and three retired config switches at
+    # their defaults; they still load the same model
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
     path = str(tmp_path / "legacy.mvcl")
@@ -185,12 +173,16 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     header, arrays = container.read_container(path)
     header.update(current_class=2, classes_consolidated=3,
                   fusion_0_samples_absorbed=60, head_projector_samples=60)
+    header["config"]["eval_cadence"] = "class"
+    header["config"]["fusion"]["projector_reset_per_class"] = False
+    header["config"]["consolidation"]["train_head_bias"] = False
     arrays["head/mu"] = np.array([res.model.head.mu])
     container.write_container(path, header, arrays)
     loaded = Model.load_checkpoint(path)
     for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
         assert np.array_equal(x, y)
     assert loaded.head.mu == res.model.head.mu
+    assert loaded.config == res.model.config
     for batch in data.test:
         assert np.array_equal(res.model.predict_labels(batch),
                               loaded.predict_labels(batch))
@@ -282,6 +274,20 @@ def test_config_round_trip_and_rejects_unknown():
         RunConfig.from_dict({"encoder": {"code_activation": "linear"}})
 
 
+@pytest.mark.parametrize("section, key, other", [
+    (None, "eval_cadence", "view"),
+    ("fusion", "projector_reset_per_class", True),
+    ("consolidation", "train_head_bias", True),
+])
+def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
+    raw = tiny_config().to_dict()
+    target = raw if section is None else raw[section]
+    assert key not in target
+    target[key] = other
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(raw)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="mode"):
         RunConfig(mode="net3")
@@ -289,8 +295,13 @@ def test_config_validation():
         FusionConfig(alpha=0.0)
     with pytest.raises(ConfigError, match="head_lr"):
         ConsolidationConfig(head_lr=-1.0)
-    with pytest.raises(ConfigError, match="eval_cadence"):
-        RunConfig(eval_cadence="epoch")
+    # zero no longer stands for a second mode
+    with pytest.raises(ConfigError, match="head_lr"):
+        ConsolidationConfig(head_lr=0.0)
+    with pytest.raises(ConfigError, match="max_steps_per_session"):
+        ConsolidationConfig(max_steps_per_session=0)
+    with pytest.raises(ConfigError, match="imprint_scale"):
+        ConsolidationConfig(imprint_scale=0.0)
 
 
 def test_config_field_types_cover_all_knobs():
@@ -298,10 +309,12 @@ def test_config_field_types_cover_all_knobs():
     assert types["seed"] is int
     assert types["fusion.alpha"] is float
     assert types["fusion.projector_enabled"] is bool
-    assert types["consolidation.train_head_bias"] is bool
+    assert types["consolidation.max_steps_per_session"] is int
     assert types["encoder.activation"] is str
     # every dotted key parses back to a dataclass field
-    assert all("." in k or k in ("seed", "mode", "eval_cadence") for k in types)
+    assert all("." in k or k in ("seed", "mode") for k in types)
+    # a new knob must change this count on purpose
+    assert len(types) == 20
 
 
 def test_run_writes_report_checkpoint_manifest(tmp_path):
@@ -320,14 +333,6 @@ def test_run_writes_report_checkpoint_manifest(tmp_path):
     assert manifest["state_size_bytes"] == res.model.state_size_bytes()
     assert RunConfig.from_dict(manifest["config"]) == tiny_config()
     assert StreamProtocol.from_dict(manifest["protocol"]) == protocol
-
-
-def test_eval_cadence_view_matches_class_final_metrics():
-    data, protocol = tiny_data()
-    by_class = run(tiny_config(), data, protocol)
-    by_view = run(tiny_config(eval_cadence="view"), data, protocol)
-    assert by_view.avg_acc == by_class.avg_acc
-    assert by_view.bwt == by_class.bwt
 
 
 def test_heldout_views_never_trained_and_reported():
@@ -355,10 +360,3 @@ def test_imprint_seeds_new_head_column_from_hidden_mean():
     m = h.mean(axis=0)
     want = m * (model.config.consolidation.imprint_scale / float(m @ m))
     np.testing.assert_allclose(model.head.weights[:, 0], want, rtol=1e-12)
-
-    plain = Model(tiny_config(
-        consolidation=ConsolidationConfig(epochs_per_session=2, head_lr=3e-3,
-                                          train_head_bias=False,
-                                          imprint_scale=0.0)))
-    plain.train_session(batch)
-    assert np.all(plain.head.weights[:, 0] == 0.0)
