@@ -165,7 +165,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         out = os.path.join(cache_root(), out)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     dataset.save_split(out, data, protocol)
-    digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+    with open(out, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
     with open(out + ".sha256", "w") as f:
         f.write(f"{digest}  {os.path.basename(out)}\n")
     print(f"cache={out} sha256={digest}")

@@ -464,16 +464,19 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
     if header.get("kind") != "split_dataset":
         raise container.ContainerError(f"{path!r} is not a dataset cache")
     pools: dict[str, list[ViewBatch]] = {"train": [], "test": []}
-    for split in ("train", "test"):
-        for i, (cid, vid) in enumerate(header["batches"][split]):
-            pools[split].append(
-                ViewBatch(cid, vid, arrays[f"{split}/{i}/inputs"],
-                          arrays[f"{split}/{i}/labels"])
-            )
-    dim = header["input_dim"]
-    if isinstance(dim, list):
-        dim = tuple(dim)
-    data = SplitDataset(pools["train"], pools["test"], header["num_classes"],
-                        header["views_per_class"], dim)
+    try:
+        for split in ("train", "test"):
+            for i, (cid, vid) in enumerate(header["batches"][split]):
+                pools[split].append(
+                    ViewBatch(cid, vid, arrays[f"{split}/{i}/inputs"],
+                              arrays[f"{split}/{i}/labels"])
+                )
+        dim = header["input_dim"]
+        if isinstance(dim, list):
+            dim = tuple(dim)
+        data = SplitDataset(pools["train"], pools["test"], header["num_classes"],
+                            header["views_per_class"], dim)
+    except KeyError as exc:
+        raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
     protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
     return data, protocol, header

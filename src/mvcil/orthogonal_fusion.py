@@ -78,20 +78,12 @@ class FusionLayer:
         self.eta = float(eta)
         self.projector = Projector(d_in, alpha)
 
-    @property
-    def d_in(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.weights.shape[1]
-
     def forward(self, Z: np.ndarray) -> np.ndarray:
         """activation(Z @ W + b)."""
         Z = np.asarray(Z, dtype=np.float64)
-        if Z.ndim != 2 or Z.shape[1] != self.d_in:
+        if Z.ndim != 2 or Z.shape[1] != self.weights.shape[0]:
             raise ValueError(
-                f"expected inputs with {self.d_in} columns, got shape {Z.shape}"
+                f"expected inputs with {self.weights.shape[0]} columns, got shape {Z.shape}"
             )
         return apply_activation(self.activation, Z @ self.weights + self.bias)
 

@@ -1,6 +1,6 @@
 """Training orchestration over the (class, view) session stream.
 
-Each session: extract the view-optimal feature, train the fusion stack with
+Each session: extract the view-optimal feature, train the fusion layer with
 projector-modulated gradient steps and the decision head with the
 consolidation penalty, then absorb the session's features into the
 projector(s). Class boundaries snapshot the anchor and fold the class's
@@ -9,7 +9,7 @@ state never grows with the number of sessions (only the head gains one
 column per class).
 
 Modes:
-    full            projector on the fusion stack + consolidated head
+    full            projector on the fusion layer + consolidated head
     net1_orth_only  projector only; head trains plain (mu forced to 0)
     net2_orth_both  projectors on fusion and on the head's hidden space; no
                     consolidation penalty
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from collections.abc import Iterator
@@ -52,7 +53,6 @@ class FusionConfig:
     alpha: float = 1.0
     eta: float = 0.01
     width: int = 200
-    depth: int = 1
     activation: str = "tanh"
     projector_enabled: bool = True
     head_projector_alpha: float = 1.0  # 0 means: reuse alpha
@@ -66,11 +66,8 @@ class FusionConfig:
             raise ConfigError(
                 f"fusion.head_projector_alpha must be >= 0, got {self.head_projector_alpha}"
             )
-        if self.width < 1 or self.depth < 1:
-            raise ConfigError(
-                f"fusion.width and fusion.depth must be >= 1, got "
-                f"{self.width}, {self.depth}"
-            )
+        if self.width < 1:
+            raise ConfigError(f"fusion.width must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
 # keys earlier versions wrote, each accepted only at the value the code now
 # always uses, so their checkpoints and manifests still load
 RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
-           "consolidation.train_head_bias": False}
+           "fusion.depth": 1, "consolidation.train_head_bias": False}
 
 
 def _retired(key: str, value) -> bool:
@@ -138,6 +135,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # NaN fails every comparison, so it slips past each section's bounds
+        for name in SECTIONS:
+            section = getattr(self, name)
+            for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
 
     def to_dict(self) -> dict:
         return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(self)}
@@ -185,25 +189,19 @@ def config_field_types() -> dict[str, type]:
 
 
 class Model:
-    """Live model state: frozen encoders, fusion stack, decision head."""
+    """Live model state: frozen encoders, fusion layer, decision head."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.encoders: dict[int, object] = {}
-        d_in = config.encoder.n * config.encoder.L
-        self.fusion_layers: list[FusionLayer] = []
-        for i in range(config.fusion.depth):
-            layer_in = d_in if i == 0 else config.fusion.width
-            self.fusion_layers.append(
-                FusionLayer(
-                    layer_in,
-                    config.fusion.width,
-                    activation=config.fusion.activation,
-                    eta=config.fusion.eta,
-                    alpha=config.fusion.alpha,
-                    seed=int(derive_seed(config.seed, 0xF5, i).generate_state(1)[0]),
-                )
-            )
+        self.fusion = FusionLayer(
+            config.encoder.n * config.encoder.L,
+            config.fusion.width,
+            activation=config.fusion.activation,
+            eta=config.fusion.eta,
+            alpha=config.fusion.alpha,
+            seed=int(derive_seed(config.seed, 0xF5, 0).generate_state(1)[0]),
+        )
         head_mu = config.consolidation.mu if config.mode == "full" else 0.0
         self.head = DecisionHead(config.fusion.width, mu=head_mu)
         head_alpha = config.fusion.head_projector_alpha or config.fusion.alpha
@@ -246,17 +244,17 @@ class Model:
         self._eval_cache[id(batch)] = (batch, feats)
         return feats
 
-    def hidden(self, feats: np.ndarray) -> np.ndarray:
-        h = feats
-        for layer in self.fusion_layers:
-            h = layer.forward(h)
-        return h
+    @property
+    def fusion_layers(self) -> tuple[FusionLayer]:
+        """The fusion layer as a one-tuple: the benchmark's traced run
+        reads its projector's capacity through this name."""
+        return (self.fusion,)
 
     # ---- inference (task-id-free: consumes only the inputs) -----------
 
     def predict_labels(self, batch: ViewBatch) -> np.ndarray:
         feats = self.features_for_eval(batch)
-        logits = self.head.logits(self.hidden(feats))
+        logits = self.head.logits(self.fusion.forward(feats))
         slots_by_class = np.argsort(np.asarray(self.slot_to_class, dtype=np.int64),
                                     kind="stable")
         # columns reordered by ascending class id, so argmax's first-match
@@ -293,7 +291,7 @@ class Model:
             # column never trains when the class arrives alone (single-class
             # softmax saturates, so gradient and Fisher both vanish) and
             # would lose to every later class's logit for good.
-            m = self.hidden(feats).mean(axis=0)
+            m = self.fusion.forward(feats).mean(axis=0)
             energy = float(m @ m)
             if energy > 0.0:
                 self.head.weights[:, imprint_slot] = (
@@ -304,11 +302,9 @@ class Model:
         self._supervised_loop(feats, slot_labels)
 
         # protect what was just learned: absorb after the gradient steps
-        h_full = feats
-        for layer in self.fusion_layers:
-            if cfg.fusion.projector_enabled:
-                layer.projector.absorb(h_full)
-            h_full = layer.forward(h_full)
+        if cfg.fusion.projector_enabled:
+            self.fusion.projector.absorb(feats)
+        h_full = self.fusion.forward(feats)
         if self.head_projector is not None:
             # normalize so each session adds O(1) energy: the projector's
             # stability/plasticity point then does not move with dataset size
@@ -349,14 +345,7 @@ class Model:
                 steps += 1
                 idx = perm[start : start + bs]
                 x = feats[idx]
-                outs = []
-                dacts = []
-                h = x
-                for layer in self.fusion_layers:
-                    out, dact = layer.forward_with_grad(h)
-                    outs.append((h, out))
-                    dacts.append(dact)
-                    h = out
+                h, dact = self.fusion.forward_with_grad(x)
                 grads = swc_loss_and_grad(self.head, h, slot_labels[idx])
                 if not np.isfinite(grads.loss):
                     raise FloatingPointError(
@@ -367,15 +356,9 @@ class Model:
                 else:
                     step_w = grads.grad_w
                 self.head.weights = self.head.weights - head_lr * step_w
-                d = grads.grad_hidden
-                for layer, (layer_in, _out), dact in zip(
-                    reversed(self.fusion_layers), reversed(outs), reversed(dacts)
-                ):
-                    da = d * dact
-                    gw = layer_in.T @ da
-                    gb = da.sum(axis=0)
-                    d = da @ layer.weights.T
-                    layer.orthogonal_step(gw, gb, project=cfg.fusion.projector_enabled)
+                da = grads.grad_hidden * dact
+                self.fusion.orthogonal_step(x.T @ da, da.sum(axis=0),
+                                            project=cfg.fusion.projector_enabled)
 
     def _finish_class(self) -> None:
         if self.head.mu > 0 and self._pending_fisher is not None:
@@ -390,10 +373,9 @@ class Model:
     def _state(self) -> Iterator[tuple[str, object, str]]:
         """(checkpoint name, owner, attribute) for every live array; the
         encoders are left out because the seed regenerates them."""
-        for i, layer in enumerate(self.fusion_layers):
-            yield f"fusion/{i}/weights", layer, "weights"
-            yield f"fusion/{i}/bias", layer, "bias"
-            yield f"fusion/{i}/projector", layer.projector, "P"
+        yield "fusion/0/weights", self.fusion, "weights"
+        yield "fusion/0/bias", self.fusion, "bias"
+        yield "fusion/0/projector", self.fusion.projector, "P"
         for attr in ("weights", "bias", "anchor", "fisher_sum"):
             yield f"head/{attr}", self.head, attr
         if self.head_projector is not None:
@@ -427,17 +409,20 @@ class Model:
         header, arrays = container.read_container(path)
         if header.get("kind") != "checkpoint":
             raise container.ContainerError(f"{path!r} is not a checkpoint")
-        config = RunConfig.from_dict(header["config"])
-        model = cls(config)
-        for name, owner, attr in model._state():
-            setattr(owner, attr, arrays[name])
-        if "head/pending_fisher" in arrays:
-            model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
-                                                   header["pending_fisher_samples"])
-        model.slot_to_class = list(header["slot_to_class"])
-        model.session_index = header["session_index"]
-        for dim in header["encoder_dims"]:
-            model.encoder_for(dim)
+        try:
+            config = RunConfig.from_dict(header["config"])
+            model = cls(config)
+            for name, owner, attr in model._state():
+                setattr(owner, attr, arrays[name])
+            if "head/pending_fisher" in arrays:
+                model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
+                                                       header["pending_fisher_samples"])
+            model.slot_to_class = list(header["slot_to_class"])
+            model.session_index = header["session_index"]
+            for dim in header["encoder_dims"]:
+                model.encoder_for(dim)
+        except KeyError as exc:
+            raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
         return model
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mvcil.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main, parse_overrides
+from mvcil.container import read_container, write_container
 from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -76,8 +77,10 @@ def test_prepare_writes_cache_and_checksum(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith(f"cache={out} sha256=")
     digest = line.rsplit("=", 1)[1]
-    assert digest == hashlib.sha256(open(out, "rb").read()).hexdigest()
-    assert open(out + ".sha256").read().split()[0] == digest
+    with open(out, "rb") as f:
+        assert digest == hashlib.sha256(f.read()).hexdigest()
+    with open(out + ".sha256") as f:
+        assert f.read().split()[0] == digest
     data, protocol, _ = load_split(out)
     assert data.num_classes == 3
     assert data.views_per_class == 2
@@ -200,6 +203,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "--heldout", "0-1"],
         ["train", "--cache", "none.mvcl", "--config", str(retired)],
         ["train", "--cache", "none.mvcl", "--set", "consolidation.head_lr=0"],
+        # NaN passes every bound check and would silently switch the penalty off
+        ["train", "--cache", "none.mvcl", "--set", "consolidation.mu=nan"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
@@ -213,6 +218,27 @@ def test_cache_without_protocol_exits_2(tmp_path, capsys):
     save_split(path, data)
     assert main(["train", "--cache", path]) == EXIT_CONFIG
     assert "does not embed a protocol" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
+    cache = prepare_cache(tmp_path)
+    run_dir = str(tmp_path / "run1")
+    main(["train", "--cache", cache, "--out", run_dir, *sets()])
+    capsys.readouterr()
+    header, arrays = read_container(os.path.join(run_dir, "checkpoint.mvcl"))
+    no_anchor = str(tmp_path / "no_anchor.mvcl")
+    write_container(no_anchor, header, {k: v for k, v in arrays.items() if k != "head/anchor"})
+    no_slots = str(tmp_path / "no_slots.mvcl")
+    write_container(no_slots, {k: v for k, v in header.items() if k != "slot_to_class"}, arrays)
+    for path, entry in ((no_anchor, "head/anchor"), (no_slots, "slot_to_class")):
+        assert main(["eval", "--checkpoint", path, "--cache", cache]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert path in err and entry in err
+    header, arrays = read_container(cache)
+    no_inputs = str(tmp_path / "no_inputs.mvcl")
+    write_container(no_inputs, header, {k: v for k, v in arrays.items() if k != "test/0/inputs"})
+    assert main(["train", "--cache", no_inputs, *sets()]) == EXIT_CONFIG
+    assert "test/0/inputs" in capsys.readouterr().err
 
 
 def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):
@@ -263,7 +289,8 @@ def test_report_aggregates_runs(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "protocol: pmnist-3x2" in out
-    lines = open(csv_path).read().splitlines()
+    with open(csv_path) as f:
+        lines = f.read().splitlines()
     assert lines[0] == "mode,runs,avg_acc_mean,avg_acc_std,bwt_mean,bwt_std"
     assert "full,2,0.500000,0.100000,-0.150000,0.050000" in lines
     assert "net1_orth_only,1,0.200000,0.000000,," in lines

@@ -42,9 +42,13 @@ def test_removed_members_and_parameters_are_gone():
     assert "feature_dim" not in inspect.signature(mvcil.Model).parameters
     for klass, name in ((mvcil.RunConfig, "eval_cadence"),
                         (mvcil.FusionConfig, "projector_reset_per_class"),
+                        (mvcil.FusionConfig, "depth"),
                         (mvcil.ConsolidationConfig, "train_head_bias")):
         assert name not in {f.name for f in dataclasses.fields(klass)}, name
     assert [f.name for f in dataclasses.fields(mvcil.ViewFeature)] == ["features", "sparsity"]
+    assert not hasattr(mvcil.Model, "hidden")
+    assert not hasattr(mvcil.FusionLayer, "d_in")
+    assert not hasattr(mvcil.FusionLayer, "d_out")
 
 
 def test_derived_and_unread_state_is_gone():
@@ -55,7 +59,7 @@ def test_derived_and_unread_state_is_gone():
     model = mvcil.Model(mvcil.RunConfig())
     assert not hasattr(model, "class_slots")
     assert not hasattr(model, "current_class")
-    assert not hasattr(model.fusion_layers[0].projector, "samples_absorbed")
+    assert not hasattr(model.fusion.projector, "samples_absorbed")
     assert not hasattr(model.head_projector, "samples_absorbed")
     with pytest.raises(TypeError):
         mvcil.evaluate_classes(model, [], 2)  # the class-count form is gone

@@ -54,8 +54,7 @@ def tiny_config(**overrides):
 def model_arrays(model):
     out = [model.head.weights, model.head.bias, model.head.anchor,
            model.head.fisher_sum]
-    for layer in model.fusion_layers:
-        out += [layer.weights, layer.bias, layer.projector.P]
+    out += [model.fusion.weights, model.fusion.bias, model.fusion.projector.P]
     if model.head_projector is not None:
         out.append(model.head_projector.P)
     return out
@@ -222,10 +221,9 @@ def test_finished_checkpoint_has_no_pending_fisher(tmp_path):
     assert "pending_fisher_samples" not in header
 
 
-def test_two_layer_fusion_trains_and_round_trips(tmp_path, monkeypatch):
+def test_fusion_layer_trains_and_absorbs_every_row(monkeypatch):
     data, protocol = tiny_data()
-    cfg = tiny_config(fusion=FusionConfig(width=8, depth=2))
-    init = Model(cfg)
+    init = Model(tiny_config())
     rows: dict[int, int] = {}
     absorb = Projector.absorb
 
@@ -234,18 +232,10 @@ def test_two_layer_fusion_trains_and_round_trips(tmp_path, monkeypatch):
         absorb(self, z, *args)
 
     monkeypatch.setattr(Projector, "absorb", counting)
-    out = str(tmp_path / "deep")
-    res = run(cfg, data, protocol, out_dir=out)
-    assert [(l.d_in, l.d_out) for l in res.model.fusion_layers] == [(6, 8), (8, 8)]
-    for layer, start in zip(res.model.fusion_layers, init.fusion_layers):
-        assert not np.allclose(layer.weights, start.weights)
-        assert rows[id(layer.projector)] == 3 * 2 * 10
-    loaded = Model.load_checkpoint(os.path.join(out, "checkpoint.mvcl"))
-    for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
-        assert np.array_equal(x, y)
-    for batch in data.test:
-        assert np.array_equal(res.model.predict_labels(batch),
-                              loaded.predict_labels(batch))
+    res = run(tiny_config(), data, protocol)
+    assert res.model.fusion.weights.shape == (6, 8)
+    assert not np.allclose(res.model.fusion.weights, init.fusion.weights)
+    assert rows[id(res.model.fusion.projector)] == 3 * 2 * 10
 
 
 def test_checkpoint_kind_guard(tmp_path):
@@ -277,6 +267,7 @@ def test_config_round_trip_and_rejects_unknown():
 @pytest.mark.parametrize("section, key, other", [
     (None, "eval_cadence", "view"),
     ("fusion", "projector_reset_per_class", True),
+    ("fusion", "depth", 2),
     ("consolidation", "train_head_bias", True),
 ])
 def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
@@ -302,6 +293,11 @@ def test_config_validation():
         ConsolidationConfig(max_steps_per_session=0)
     with pytest.raises(ConfigError, match="imprint_scale"):
         ConsolidationConfig(imprint_scale=0.0)
+    # NaN fails every comparison, so it would pass the bound checks alone
+    with pytest.raises(ConfigError, match="consolidation.mu"):
+        RunConfig(consolidation=ConsolidationConfig(mu=float("nan")))
+    with pytest.raises(ConfigError, match="fusion.alpha"):
+        RunConfig.from_dict({"fusion": {"alpha": float("inf")}})
 
 
 def test_config_field_types_cover_all_knobs():
@@ -314,7 +310,7 @@ def test_config_field_types_cover_all_knobs():
     # every dotted key parses back to a dataclass field
     assert all("." in k or k in ("seed", "mode") for k in types)
     # a new knob must change this count on purpose
-    assert len(types) == 20
+    assert len(types) == 19
 
 
 def test_run_writes_report_checkpoint_manifest(tmp_path):
@@ -356,7 +352,7 @@ def test_imprint_seeds_new_head_column_from_hidden_mean():
     model.train_session(batch)
     # a lone first class gets no gradient (single-class softmax saturates),
     # so the column must still equal the imprint exactly
-    h = model.hidden(model.extract(batch))
+    h = model.fusion.forward(model.extract(batch))
     m = h.mean(axis=0)
     want = m * (model.config.consolidation.imprint_scale / float(m @ m))
     np.testing.assert_allclose(model.head.weights[:, 0], want, rtol=1e-12)
