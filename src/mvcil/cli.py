@@ -165,8 +165,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         out = os.path.join(cache_root(), out)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     dataset.save_split(out, data, protocol)
+    sha = hashlib.sha256()
     with open(out, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
+        # 1 MiB chunks: the cache is never held whole just to hash it
+        while chunk := f.read(1 << 20):
+            sha.update(chunk)
+    digest = sha.hexdigest()
     with open(out + ".sha256", "w") as f:
         f.write(f"{digest}  {os.path.basename(out)}\n")
     print(f"cache={out} sha256={digest}")

@@ -23,6 +23,7 @@ with the recorded dtype and shape.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -80,38 +81,45 @@ def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> N
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by write_container; returns (header, arrays)."""
-    # slices of a memoryview share the file's bytes, so each array's data is
-    # copied once, into the array's own buffer
     with open(path, "rb") as f:
-        blob = memoryview(f.read())
-    off = 0
+        size = os.fstat(f.fileno()).st_size
+        off = 0
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal off
-        if off + n > len(blob):
-            raise ContainerError(f"truncated container: reading {what} at offset {off}")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
+        def claim(n: int, what: str) -> None:
+            # checked against the bytes left in the file before anything of
+            # size n is read or allocated
+            nonlocal off
+            if n > size - off:
+                raise ContainerError(f"truncated container: reading {what} at offset {off}")
+            off += n
 
-    if take(4, "magic") != MAGIC:
-        raise ContainerError(f"bad magic in {path!r}: expected {MAGIC!r}")
-    version, hdr_len = struct.unpack("<HI", take(6, "version/header length"))
-    if version != VERSION:
-        raise ContainerError(f"unsupported container version {version}")
-    header = json.loads(str(take(hdr_len, "header"), "utf-8"))
-    (n_arrays,) = struct.unpack("<I", take(4, "array count"))
-    arrays: dict[str, np.ndarray] = {}
-    for i in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2, f"array {i} name length"))
-        name = str(take(name_len, f"array {i} name"), "utf-8")
-        (dtype_len,) = struct.unpack("<B", take(1, f"array {name} dtype length"))
-        dtype = np.dtype(str(take(dtype_len, f"array {name} dtype"), "ascii"))
-        (ndim,) = struct.unpack("<B", take(1, f"array {name} ndim"))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"array {name} shape")) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = take(count * dtype.itemsize, f"array {name} data")
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    if off != len(blob):
-        raise ContainerError(f"{len(blob) - off} trailing bytes after last array")
+        def take(n: int, what: str) -> bytes:
+            claim(n, what)
+            return f.read(n)
+
+        if take(4, "magic") != MAGIC:
+            raise ContainerError(f"bad magic in {path!r}: expected {MAGIC!r}")
+        version, hdr_len = struct.unpack("<HI", take(6, "version/header length"))
+        if version != VERSION:
+            raise ContainerError(f"unsupported container version {version}")
+        header = json.loads(take(hdr_len, "header").decode("utf-8"))
+        (n_arrays,) = struct.unpack("<I", take(4, "array count"))
+        arrays: dict[str, np.ndarray] = {}
+        for i in range(n_arrays):
+            (name_len,) = struct.unpack("<H", take(2, f"array {i} name length"))
+            name = take(name_len, f"array {i} name").decode("utf-8")
+            (dtype_len,) = struct.unpack("<B", take(1, f"array {name} dtype length"))
+            dtype = np.dtype(take(dtype_len, f"array {name} dtype").decode("ascii"))
+            if dtype.hasobject:
+                raise ContainerError(f"array {name} has object dtype {dtype.str!r}")
+            (ndim,) = struct.unpack("<B", take(1, f"array {name} ndim"))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"array {name} shape"))
+            # Python ints: a corrupt shape cannot wrap around to a small count
+            claim(math.prod(shape) * dtype.itemsize, f"array {name} data")
+            arr = np.empty(shape, dtype)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ContainerError(f"truncated container: reading array {name} data")
+            arrays[name] = arr
+        if off != size:
+            raise ContainerError(f"{size - off} trailing bytes after last array")
     return header, arrays

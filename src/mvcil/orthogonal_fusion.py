@@ -3,6 +3,8 @@
 A running d x d projector P tracks the subspace spanned by all previously
 absorbed view features; fusion-layer weights are updated only along P's
 range, so new sessions do not interfere with directions already in use.
+The trainer projects each session's inputs once (Z P, exact because P is
+fixed within a session and symmetric) and hands the layer the step.
 P is maintained by recursive least-squares block updates (a single row is a
 block of one), never by storing past features.
 """
@@ -94,21 +96,21 @@ class FusionLayer:
         out = apply_activation(self.activation, pre)
         return out, activation_derivative(self.activation, pre, out)
 
-    def orthogonal_step(
-        self, grad_w: np.ndarray, grad_b: np.ndarray | None = None, project: bool = True
-    ) -> None:
-        """W <- W - eta * (P @ grad_w); bias steps unprojected."""
-        grad_w = np.asarray(grad_w, dtype=np.float64)
-        if grad_w.shape != self.weights.shape:
+    def orthogonal_step(self, direction: np.ndarray, grad_b: np.ndarray | None = None) -> None:
+        """W <- W - eta * direction; bias steps unprojected.
+
+        The caller hands in a direction that already lies in P's range: the
+        trainer projects each session's inputs once, (Z P)^T delta.
+        """
+        direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != self.weights.shape:
             raise ValueError(
-                f"gradient shape {grad_w.shape} does not match weights {self.weights.shape}"
+                f"step shape {direction.shape} does not match weights {self.weights.shape}"
             )
-        if not np.all(np.isfinite(grad_w)):
-            raise FloatingPointError("non-finite fusion gradient")
-        step = self.projector.P @ grad_w if project else grad_w
-        self.weights = self.weights - self.eta * step
+        if not np.all(np.isfinite(direction)):
+            raise FloatingPointError("non-finite fusion step")
+        self.weights = self.weights - self.eta * direction
         if grad_b is not None:
             if not np.all(np.isfinite(grad_b)):
                 raise FloatingPointError("non-finite fusion bias gradient")
             self.bias = self.bias - self.eta * np.asarray(grad_b, dtype=np.float64)
-

@@ -334,6 +334,11 @@ class Model:
         # size, and larger streams forget catastrophically at settings that
         # are stable on small ones
         budget = cfg.consolidation.max_steps_per_session
+        # P is fixed within a session (absorb runs after this loop) and
+        # symmetric, so P @ (x.T @ da) == (x @ P).T @ da: project the inputs
+        # once here instead of the gradient at every step. With the projector
+        # disabled P stays the identity and feats_p equals feats.
+        feats_p = feats @ self.fusion.projector.P
         steps = 0
         for _ in range(cfg.consolidation.epochs_per_session):
             if steps >= budget:
@@ -357,8 +362,7 @@ class Model:
                     step_w = grads.grad_w
                 self.head.weights = self.head.weights - head_lr * step_w
                 da = grads.grad_hidden * dact
-                self.fusion.orthogonal_step(x.T @ da, da.sum(axis=0),
-                                            project=cfg.fusion.projector_enabled)
+                self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
 
     def _finish_class(self) -> None:
         if self.head.mu > 0 and self._pending_fisher is not None:

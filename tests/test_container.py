@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,5 +94,37 @@ def test_returned_arrays_are_writable_copies(tmp_path):
     path = str(tmp_path / "w.mvcl")
     write_container(path, {}, {"x": np.arange(3, dtype=np.float64)})
     _, back = read_container(path)
-    back["x"][0] = 99.0  # frombuffer result is copied, not a readonly view
+    back["x"][0] = 99.0  # each array owns its buffer, not a readonly view
     assert back["x"][0] == 99.0
+    assert back["x"].flags.owndata
+
+
+@pytest.mark.parametrize("shape", [(2**32, 2**32), (2**62, 4), (2**40, 1)])
+def test_corrupt_shape_is_truncation_without_allocating(tmp_path, shape):
+    # element counts that wrap around in int64 must still be caught by the
+    # size check, before any buffer of that size is allocated
+    good = tmp_path / "good.mvcl"
+    write_container(str(good), {}, {"x": np.zeros((2, 4))})
+    blob = good.read_bytes()
+    field = struct.pack("<2Q", 2, 4)
+    assert blob.count(field) == 1
+    bad = tmp_path / "bad.mvcl"
+    bad.write_bytes(blob.replace(field, struct.pack("<2Q", *shape)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="array x data"):
+            read_container(str(bad))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_object_dtype_rejected(tmp_path):
+    # raw bytes must never be read into an array of Python references
+    good = tmp_path / "good.mvcl"
+    write_container(str(good), {}, {"x": np.zeros(2)})
+    bad = tmp_path / "bad.mvcl"
+    bad.write_bytes(good.read_bytes().replace(b"<f8", b"|O8"))
+    with pytest.raises(ContainerError, match="array x has object dtype"):
+        read_container(str(bad))

@@ -142,36 +142,33 @@ def test_fusion_layer_seeded_init_and_forward(rng):
 
 
 def test_learning_without_interference(rng):
-    # after absorbing a batch, projected steps leave its outputs unchanged
+    # after absorbing a batch, steps along (Z_new P)^T da, the direction the
+    # trainer builds, leave the absorbed batch's outputs unchanged
     d_in, d_out = 10, 3
     layer = FusionLayer(d_in, d_out, activation="linear", eta=0.1, alpha=1e-6, seed=5)
     Z_old = rng.standard_normal((4, d_in))  # rank 4 of 10: room to keep learning
     layer.projector.absorb(Z_old)
     out_before = layer.forward(Z_old)
     W0 = layer.weights.copy()
-    grad = rng.standard_normal((d_in, d_out))
+    Z_p = rng.standard_normal((6, d_in)) @ layer.projector.P
     for _ in range(10):
-        layer.orthogonal_step(grad)
+        layer.orthogonal_step(Z_p.T @ rng.standard_normal((6, d_out)))
     out_after = layer.forward(Z_old)
     assert np.allclose(out_before, out_after, atol=1e-3)
     # the weights still moved: plasticity survives outside the absorbed span
     assert np.linalg.norm(layer.weights - W0) > 1e-3
 
 
-def test_unprojected_step_is_plain_descent(rng):
-    layer = FusionLayer(4, 2, eta=0.5, seed=1)
-    W0 = layer.weights.copy()
-    g = np.ones((4, 2))
-    layer.orthogonal_step(g, project=False)
-    assert np.allclose(layer.weights, W0 - 0.5 * g)
-
-
-def test_fresh_projector_step_reduces_to_plain(rng):
-    layer = FusionLayer(4, 2, eta=0.2, seed=1)
-    W0 = layer.weights.copy()
-    g = rng.standard_normal((4, 2))
-    layer.orthogonal_step(g)  # P = I
-    assert np.allclose(layer.weights, W0 - 0.2 * g)
+def test_step_is_plain_descent_along_direction(rng):
+    # the layer steps along the direction it is given, whatever P holds:
+    # projecting is the caller's job
+    for absorbed in (0, 3):
+        layer = FusionLayer(4, 2, eta=0.2, alpha=1e-6, seed=1)
+        layer.projector.absorb(rng.standard_normal((absorbed, 4)))
+        W0 = layer.weights.copy()
+        g = rng.standard_normal((4, 2))
+        layer.orthogonal_step(g)
+        assert np.array_equal(layer.weights, W0 - 0.2 * g)
 
 
 def test_bias_updates_unprojected(rng):

@@ -49,6 +49,7 @@ def test_removed_members_and_parameters_are_gone():
     assert not hasattr(mvcil.Model, "hidden")
     assert not hasattr(mvcil.FusionLayer, "d_in")
     assert not hasattr(mvcil.FusionLayer, "d_out")
+    assert "project" not in inspect.signature(mvcil.FusionLayer.orthogonal_step).parameters
 
 
 def test_derived_and_unread_state_is_gone():

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from mvcil import container, trainer
-from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, stream_sessions
+from mvcil.consolidation import swc_loss_and_grad
+from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from mvcil.evaluation import parse_report
 from mvcil.orthogonal_fusion import Projector
 from mvcil.sparse_features import ExtractionConfig
@@ -236,6 +238,80 @@ def test_fusion_layer_trains_and_absorbs_every_row(monkeypatch):
     assert res.model.fusion.weights.shape == (6, 8)
     assert not np.allclose(res.model.fusion.weights, init.fusion.weights)
     assert rows[id(res.model.fusion.projector)] == 3 * 2 * 10
+
+
+def per_step_projection_loop(model, feats, slot_labels, project):
+    """The supervised loop with the projection applied to the gradient at
+    every step, W -= eta * P @ (x.T @ da), or plain descent W -= eta * x.T @ da
+    when project is False; same RNG stream and step budget as the trainer."""
+    cfg = model.config
+    n = feats.shape[0]
+    bs = min(cfg.consolidation.batch_size, n)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0xB5, model.session_index))
+    P = model.fusion.projector.P
+    steps = 0
+    for _ in range(cfg.consolidation.epochs_per_session):
+        perm = rng.permutation(n)
+        for start in range(0, n, bs):
+            if steps >= cfg.consolidation.max_steps_per_session:
+                return steps
+            steps += 1
+            idx = perm[start : start + bs]
+            x = feats[idx]
+            h, dact = model.fusion.forward_with_grad(x)
+            grads = swc_loss_and_grad(model.head, h, slot_labels[idx])
+            step_w = grads.grad_w
+            if model.head_projector is not None:
+                step_w = model.head_projector.P @ step_w
+            model.head.weights = model.head.weights - cfg.consolidation.head_lr * step_w
+            da = grads.grad_hidden * dact
+            grad_w = x.T @ da
+            if project:
+                grad_w = P @ grad_w
+            model.fusion.weights = model.fusion.weights - cfg.fusion.eta * grad_w
+            model.fusion.bias = model.fusion.bias - cfg.fusion.eta * da.sum(axis=0)
+    return steps
+
+
+def two_sessions_then_third(fusion):
+    """A model after sessions (0, 0) and (1, 0), plus the features and slot
+    labels of session (1, 1)."""
+    data, _ = tiny_data(num_classes=2, views=2)
+    model = Model(tiny_config(
+        fusion=fusion,
+        consolidation=ConsolidationConfig(epochs_per_session=3, batch_size=4,
+                                          max_steps_per_session=7, head_lr=3e-3),
+    ))
+    model.train_session(data.train_batch(0, 0))
+    model.train_session(data.train_batch(1, 0))
+    batch = data.train_batch(1, 1)
+    return model, model.extract(batch), np.full(batch.num_samples, 1, np.int64)
+
+
+def test_session_projection_matches_per_step_projection():
+    model, feats, labels = two_sessions_then_third(FusionConfig(width=8))
+    assert not np.allclose(model.fusion.projector.P, np.eye(6))
+    ref = copy.deepcopy(model)
+    W0 = model.fusion.weights.copy()
+    model._supervised_loop(feats, labels)
+    assert per_step_projection_loop(ref, feats, labels, project=True) == 7
+    assert not np.allclose(model.fusion.weights, W0)
+    for got, want in ((model.fusion.weights, ref.fusion.weights),
+                      (model.fusion.bias, ref.fusion.bias),
+                      (model.head.weights, ref.head.weights)):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_disabled_projector_steps_by_plain_descent():
+    model, feats, labels = two_sessions_then_third(
+        FusionConfig(width=8, projector_enabled=False))
+    ref = copy.deepcopy(model)
+    model._supervised_loop(feats, labels)
+    per_step_projection_loop(ref, feats, labels, project=False)
+    assert np.array_equal(model.fusion.projector.P, np.eye(6))
+    assert np.array_equal(model.fusion.weights, ref.fusion.weights)
+    assert np.array_equal(model.fusion.bias, ref.fusion.bias)
+    assert np.array_equal(model.head.weights, ref.head.weights)
 
 
 def test_checkpoint_kind_guard(tmp_path):
