@@ -159,16 +159,23 @@ def test_learning_without_interference(rng):
     assert np.linalg.norm(layer.weights - W0) > 1e-3
 
 
-def test_step_is_plain_descent_along_direction(rng):
+def test_unprojected_step_is_plain_descent(rng):
     # the layer steps along the direction it is given, whatever P holds:
     # projecting is the caller's job
-    for absorbed in (0, 3):
-        layer = FusionLayer(4, 2, eta=0.2, alpha=1e-6, seed=1)
-        layer.projector.absorb(rng.standard_normal((absorbed, 4)))
-        W0 = layer.weights.copy()
-        g = rng.standard_normal((4, 2))
-        layer.orthogonal_step(g)
-        assert np.array_equal(layer.weights, W0 - 0.2 * g)
+    layer = FusionLayer(4, 2, eta=0.5, alpha=1e-6, seed=1)
+    layer.projector.absorb(rng.standard_normal((3, 4)))
+    W0 = layer.weights.copy()
+    g = rng.standard_normal((4, 2))
+    layer.orthogonal_step(g)
+    assert np.array_equal(layer.weights, W0 - 0.5 * g)
+
+
+def test_fresh_projector_step_reduces_to_plain(rng):
+    layer = FusionLayer(4, 2, eta=0.2, seed=1)
+    W0 = layer.weights.copy()
+    g = rng.standard_normal((4, 2))
+    layer.orthogonal_step(g)  # P = I
+    assert np.array_equal(layer.weights, W0 - 0.2 * g)
 
 
 def test_bias_updates_unprojected(rng):
