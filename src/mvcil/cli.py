@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, dataset, evaluation
-from .container import ContainerError
+from .container import ContainerError, atomic_open
 from .dataset import FeatureTableError, IdxFormatError
 from .trainer import ConfigError, Model, RunConfig, config_field_types, run
 
@@ -171,7 +171,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         while chunk := f.read(1 << 20):
             sha.update(chunk)
     digest = sha.hexdigest()
-    with open(out + ".sha256", "w") as f:
+    with atomic_open(out + ".sha256") as f:
         f.write(f"{digest}  {os.path.basename(out)}\n")
     print(f"cache={out} sha256={digest}")
     return EXIT_OK
@@ -260,7 +260,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"{mode:<16} {len(accs):>4} {acc_m:>9.4f}±{acc_s:.4f} {bwt_cell:>16}")
         csv_lines.append(f"{mode},{len(accs)},{acc_m:.6f},{acc_s:.6f},{bwt_csv}")
     if args.csv:
-        with open(args.csv, "w") as f:
+        with atomic_open(args.csv) as f:
             f.write("\n".join(csv_lines) + "\n")
     return EXIT_OK
 

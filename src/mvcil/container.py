@@ -22,6 +22,7 @@ with the recorded dtype and shape.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -46,37 +47,45 @@ def _canonical_dtype(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write header + named arrays to `path` atomically (tmp file + rename)."""
-    hdr_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    dirpath = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file next to `path` for writing. A clean exit
+    renames it over `path`; an error removes it and leaves `path` as it was.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<HI", VERSION, len(hdr_blob)))
-            f.write(hdr_blob)
-            f.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                arr = _canonical_dtype(np.asarray(arr))
-                if not arr.flags.c_contiguous:
-                    # ascontiguousarray would also promote 0-d to 1-d, so
-                    # only call it when a copy is actually needed
-                    arr = np.ascontiguousarray(arr)
-                name_b = name.encode("utf-8")
-                dtype_b = arr.dtype.str.encode("ascii")
-                f.write(struct.pack("<H", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<B", len(dtype_b)))
-                f.write(dtype_b)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-                f.write(arr.data)
+        with os.fdopen(fd, mode, **kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write header + named arrays to `path` atomically (tmp file + rename)."""
+    hdr_blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_open(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<HI", VERSION, len(hdr_blob)))
+        f.write(hdr_blob)
+        f.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            arr = _canonical_dtype(np.asarray(arr))
+            if not arr.flags.c_contiguous:
+                # ascontiguousarray would also promote 0-d to 1-d, so
+                # only call it when a copy is actually needed
+                arr = np.ascontiguousarray(arr)
+            name_b = name.encode("utf-8")
+            dtype_b = arr.dtype.str.encode("ascii")
+            f.write(struct.pack("<H", len(name_b)))
+            f.write(name_b)
+            f.write(struct.pack("<B", len(dtype_b)))
+            f.write(dtype_b)
+            f.write(struct.pack("<B", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
+            f.write(arr.data)
 
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -103,13 +112,19 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         if version != VERSION:
             raise ContainerError(f"unsupported container version {version}")
         header = json.loads(take(hdr_len, "header").decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ContainerError(f"header is a JSON {type(header).__name__}, not an object")
         (n_arrays,) = struct.unpack("<I", take(4, "array count"))
         arrays: dict[str, np.ndarray] = {}
         for i in range(n_arrays):
             (name_len,) = struct.unpack("<H", take(2, f"array {i} name length"))
             name = take(name_len, f"array {i} name").decode("utf-8")
             (dtype_len,) = struct.unpack("<B", take(1, f"array {name} dtype length"))
-            dtype = np.dtype(take(dtype_len, f"array {name} dtype").decode("ascii"))
+            dtype_str = take(dtype_len, f"array {name} dtype").decode("ascii")
+            try:
+                dtype = np.dtype(dtype_str)
+            except TypeError as exc:
+                raise ContainerError(f"array {name} has unknown dtype {dtype_str!r}") from exc
             if dtype.hasobject:
                 raise ContainerError(f"array {name} has object dtype {dtype.str!r}")
             (ndim,) = struct.unpack("<B", take(1, f"array {name} ndim"))

@@ -33,9 +33,10 @@ class FeatureTableError(ValueError):
     """Delimited-text feature table parse failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewBatch:
-    """One (class, view) session: the unit of arrival in the stream."""
+    """One (class, view) session: the unit of arrival in the stream. Compared
+    and hashed by identity, so a batch can key a weak cache."""
 
     class_id: int
     view_id: int
@@ -89,11 +90,6 @@ class StreamProtocol:
                     raise ValueError(f"heldout views {sorted(views)} out of range for class {cls}")
                 if len(views) >= v:
                     raise ValueError(f"class {cls} would have no training views left")
-
-    @property
-    def num_sessions(self) -> int:
-        held = sum(len(v) for v in (self.heldout_views or {}).values())
-        return self.num_classes * self.views_per_class - held
 
     def to_dict(self) -> dict:
         """JSON-ready form, as stored in dataset caches and run manifests."""
@@ -188,18 +184,14 @@ def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
         else:
             rows = cols = 0
             expected = count
-        data = f.read(expected + 1)  # one extra byte so overlong files are caught
-        if len(data) < expected:
+        data = f.read()
+        if len(data) != expected:
+            problem = ("the file has trailing bytes" if len(data) > expected
+                       else f"data is truncated ({len(data)} of {expected} bytes)")
             raise IdxFormatError(
-                f"{what} file {path!r}: count field says {count} items "
-                f"but data is truncated ({len(data)} of {expected} bytes)"
+                f"{what} file {path!r}: count field says {count} items but {problem}"
             )
-        if len(data) > expected:
-            raise IdxFormatError(
-                f"{what} file {path!r}: count field says {count} items "
-                f"but the file has trailing bytes"
-            )
-        arr = np.frombuffer(data[:expected], dtype=np.uint8)
+        arr = np.frombuffer(data, dtype=np.uint8)
         if expected_magic == IDX_IMAGES_MAGIC:
             return arr.reshape(count, rows * cols)
         return arr
@@ -260,9 +252,6 @@ def make_permuted_views(base: SplitDataset, num_views: int, seed: int) -> SplitD
         raise ValueError(f"num_views {num_views} exceeds cap {MAX_PERMUTED_VIEWS}")
     if base.views_per_class != 1:
         raise ValueError("permuted views require a single-view base dataset")
-    if num_views == 1:
-        return SplitDataset(list(base.train), list(base.test), base.num_classes, 1,
-                            base.input_dim)
     dim = base.view_dims()[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3B]))
     perms = [rng.permutation(dim) for _ in range(num_views - 1)]

@@ -10,10 +10,10 @@ reproducible.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 
 import numpy as np
+
+from .container import atomic_open
 
 
 class AccuracyMatrix:
@@ -37,6 +37,16 @@ class AccuracyMatrix:
         self.n_samples[after, cls] = n_samples
 
 
+def _tally(model, batches) -> dict[int, tuple[int, int]]:
+    """{class_id: (hits, samples)}, predicting each batch once in list order."""
+    tally: dict[int, tuple[int, int]] = {}
+    for b in batches:
+        pred = np.asarray(model.predict_labels(b))
+        hits, n = tally.get(b.class_id, (0, 0))
+        tally[b.class_id] = (hits + int(np.sum(pred == b.labels)), n + b.num_samples)
+    return tally
+
+
 def evaluate_classes(model, test_batches, classes_seen) -> list[float]:
     """Per-class top-1 accuracy after training through the seen classes.
 
@@ -46,18 +56,10 @@ def evaluate_classes(model, test_batches, classes_seen) -> list[float]:
     pools all its test views' samples equally. Classes with no test samples
     get nan (caller masks the cell).
     """
-    accs = []
-    for c in classes_seen:
-        correct = 0
-        total = 0
-        for batch in test_batches:
-            if batch.class_id != c:
-                continue
-            pred = np.asarray(model.predict_labels(batch))
-            correct += int(np.sum(pred == batch.labels))
-            total += batch.num_samples
-        accs.append(correct / total if total else float("nan"))
-    return accs
+    seen = set(classes_seen)
+    tally = _tally(model, [b for b in test_batches if b.class_id in seen])
+    return [hits / n if n else float("nan")
+            for hits, n in (tally.get(c, (0, 0)) for c in classes_seen)]
 
 
 def avg_acc(matrix: AccuracyMatrix) -> float:
@@ -90,23 +92,12 @@ def familiar_view_eval(model, heldout_batches, shared_batches) -> dict:
     if not heldout_batches:
         raise ValueError("held-out view set is empty")
 
-    def pooled(batches):
-        per_class: dict[int, list[int]] = {}
-        for b in batches:
-            pred = np.asarray(model.predict_labels(b))
-            hits = int(np.sum(pred == b.labels))
-            per_class.setdefault(b.class_id, [0, 0])
-            per_class[b.class_id][0] += hits
-            per_class[b.class_id][1] += b.num_samples
-        acc = {c: h / n for c, (h, n) in sorted(per_class.items())}
-        total_h = sum(h for h, _ in per_class.values())
-        total_n = sum(n for _, n in per_class.values())
-        return acc, total_h / total_n
-
-    held_per_class, held_acc = pooled(heldout_batches)
-    _, shared_acc = pooled(shared_batches)
+    held = _tally(model, heldout_batches)
+    shared = _tally(model, shared_batches)
+    held_acc = sum(h for h, _ in held.values()) / sum(n for _, n in held.values())
+    shared_acc = sum(h for h, _ in shared.values()) / sum(n for _, n in shared.values())
     return {
-        "heldout_per_class": held_per_class,
+        "heldout_per_class": {c: h / n for c, (h, n) in sorted(held.items())},
         "heldout_accuracy": held_acc,
         "shared_accuracy": shared_acc,
         "gap": held_acc - shared_acc,
@@ -122,23 +113,15 @@ def emit_report(path: str, matrix: AccuracyMatrix) -> None:
 
     Written atomically; masked cells are omitted.
     """
-    dirpath = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"# schema_version={REPORT_SCHEMA_VERSION}"])
-            writer.writerow(REPORT_COLUMNS)
-            for after in range(matrix.num_classes):
-                for c in range(after + 1):
-                    if matrix.mask[after, c]:
-                        writer.writerow([after, c, repr(float(matrix.R[after, c])),
-                                         matrix.n_samples[after, c]])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow([f"# schema_version={REPORT_SCHEMA_VERSION}"])
+        writer.writerow(REPORT_COLUMNS)
+        for after in range(matrix.num_classes):
+            for c in range(after + 1):
+                if matrix.mask[after, c]:
+                    writer.writerow([after, c, repr(float(matrix.R[after, c])),
+                                     matrix.n_samples[after, c]])
 
 
 def parse_report(path: str) -> AccuracyMatrix:

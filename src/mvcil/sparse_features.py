@@ -45,41 +45,17 @@ def activation_derivative(name: str, preact: np.ndarray, out: np.ndarray) -> np.
 class RandomEncoder:
     """n groups of frozen random affine maps, output dim n*L.
 
-    Weights are drawn once, uniform on [-1, 1], and never mutated; arrays are
-    marked read-only so the reset contract is enforced structurally.
+    Built by ExtractionConfig.make_encoder. Weights are drawn once, uniform
+    on [-1, 1], and never mutated; arrays are marked read-only so the reset
+    contract is enforced structurally.
     """
 
     n: int
     L: int
     input_dim: int
     activation: str
-    seed: int
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-
-    @classmethod
-    def create(
-        cls,
-        input_dim: int,
-        n: int = 30,
-        L: int = 20,
-        activation: str = "tanh",
-        seed: int = 0,
-    ) -> "RandomEncoder":
-        if n < 1 or L < 1 or input_dim < 1:
-            raise ValueError(f"n, L, input_dim must be >= 1, got {n}, {L}, {input_dim}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        ws, bs = [], []
-        for _ in range(n):
-            w = rng.uniform(-1.0, 1.0, size=(input_dim, L))
-            b = rng.uniform(-1.0, 1.0, size=L)
-            w.setflags(write=False)
-            b.setflags(write=False)
-            ws.append(w)
-            bs.append(b)
-        return cls(n, L, input_dim, activation, seed, tuple(ws), tuple(bs))
 
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
@@ -154,10 +130,21 @@ class ExtractionConfig:
                 f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
             )
 
-    def make_encoder(self, input_dim: int, seed: int) -> "RandomEncoder":
-        return RandomEncoder.create(
-            input_dim, n=self.n, L=self.L, activation=self.activation, seed=seed
-        )
+    def make_encoder(self, input_dim: int, seed: int) -> RandomEncoder:
+        """The frozen encoder for inputs of width `input_dim`, drawn from
+        `seed`: per group, its weights and then its bias."""
+        if input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        ws, bs = [], []
+        for _ in range(self.n):
+            w = rng.uniform(-1.0, 1.0, size=(input_dim, self.L))
+            b = rng.uniform(-1.0, 1.0, size=self.L)
+            w.setflags(write=False)
+            b.setflags(write=False)
+            ws.append(w)
+            bs.append(b)
+        return RandomEncoder(self.n, self.L, input_dim, self.activation, tuple(ws), tuple(bs))
 
 
 @dataclass(frozen=True)

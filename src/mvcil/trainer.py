@@ -22,6 +22,7 @@ import json
 import math
 import os
 import time
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .consolidation import (
 )
 from .dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from .orthogonal_fusion import FusionLayer, Projector
-from .sparse_features import ExtractionConfig, extract_view_feature
+from .sparse_features import ACTIVATIONS, ExtractionConfig, extract_view_feature
 
 MODES = ("full", "net1_orth_only", "net2_orth_both")
 CONFIG_SCHEMA_VERSION = 1
@@ -68,6 +69,10 @@ class FusionConfig:
             )
         if self.width < 1:
             raise ConfigError(f"fusion.width must be >= 1, got {self.width}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"fusion.activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,9 @@ class Model:
         self.slot_to_class: list[int] = []
         self.session_index = 0
         self._pending_fisher: FisherEstimate | None = None
-        self._eval_cache: dict[int, tuple[ViewBatch, np.ndarray]] = {}
+        self._eval_cache: weakref.WeakKeyDictionary[ViewBatch, np.ndarray] = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ---- feature path -------------------------------------------------
 
@@ -235,13 +242,11 @@ class Model:
         return extract_view_feature(enc, batch, self.config.encoder).features
 
     def features_for_eval(self, batch: ViewBatch) -> np.ndarray:
-        """Extraction is model-independent within a run, so test-batch
-        features are cached (keyed by batch identity, batch pinned)."""
-        hit = self._eval_cache.get(id(batch))
-        if hit is not None and hit[0] is batch:
-            return hit[1]
-        feats = self.extract(batch)
-        self._eval_cache[id(batch)] = (batch, feats)
+        """Extraction is model-independent within a run, so a test batch's
+        features are cached for as long as the caller holds the batch."""
+        feats = self._eval_cache.get(batch)
+        if feats is None:
+            feats = self._eval_cache[batch] = self.extract(batch)
         return feats
 
     @property
@@ -500,7 +505,7 @@ def run(
         manifest["familiar_view_eval"] = fam
     if out_dir:
         model.save_checkpoint(os.path.join(out_dir, "checkpoint.mvcl"))
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+        with container.atomic_open(os.path.join(out_dir, "manifest.json")) as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
     return RunResult(manifest, matrix, model, final_avg, final_bwt)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mvcil.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main, parse_overrides
-from mvcil.container import read_container, write_container
+from mvcil.container import MAGIC, VERSION, read_container, write_container
 from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -205,10 +205,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["train", "--cache", "none.mvcl", "--set", "consolidation.head_lr=0"],
         # NaN passes every bound check and would silently switch the penalty off
         ["train", "--cache", "none.mvcl", "--set", "consolidation.mu=nan"],
+        # checked with the config, before the cache is looked for
+        ["train", "--cache", "none.mvcl", "--set", "fusion.activation=relu"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         assert "error:" in capsys.readouterr().err
+    # a header claiming 2**31 images of 2**16 x 2**16 pixels
+    huge = struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**31, 2**16, 2**16)
+    with open(os.path.join(src, "train-images-idx3-ubyte"), "wb") as f:
+        f.write(huge)
+    assert main(["prepare", "--protocol", "pmnist-3x2", "--source-dir", src]) == EXIT_CONFIG
+    assert "says 2147483648 items" in capsys.readouterr().err
 
 
 def test_cache_without_protocol_exits_2(tmp_path, capsys):
@@ -239,6 +247,15 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     write_container(no_inputs, header, {k: v for k, v in arrays.items() if k != "test/0/inputs"})
     assert main(["train", "--cache", no_inputs, *sets()]) == EXIT_CONFIG
     assert "test/0/inputs" in capsys.readouterr().err
+    blob = (tmp_path / "run1" / "checkpoint.mvcl").read_bytes()
+    bad_dtype = tmp_path / "bad_dtype.mvcl"
+    bad_dtype.write_bytes(blob.replace(b"<f8", b"zzz", 1))
+    list_header = tmp_path / "list_header.mvcl"
+    list_header.write_bytes(MAGIC + struct.pack("<HI", VERSION, 2) + b"[]"
+                            + struct.pack("<I", 0))
+    for path, field in ((bad_dtype, "dtype"), (list_header, "header")):
+        assert main(["eval", "--checkpoint", str(path), "--cache", cache]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
 
 def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):

@@ -128,3 +128,19 @@ def test_object_dtype_rejected(tmp_path):
     bad.write_bytes(good.read_bytes().replace(b"<f8", b"|O8"))
     with pytest.raises(ContainerError, match="array x has object dtype"):
         read_container(str(bad))
+
+
+def test_unknown_dtype_names_the_array(tmp_path):
+    good = tmp_path / "good.mvcl"
+    write_container(str(good), {}, {"x": np.zeros(2)})
+    bad = tmp_path / "bad.mvcl"
+    bad.write_bytes(good.read_bytes().replace(b"<f8", b"zzz"))
+    with pytest.raises(ContainerError, match="array x has unknown dtype 'zzz'"):
+        read_container(str(bad))
+
+
+def test_header_must_be_an_object(tmp_path):
+    path = tmp_path / "list.mvcl"
+    path.write_bytes(MAGIC + struct.pack("<HI", VERSION, 2) + b"[]" + struct.pack("<I", 0))
+    with pytest.raises(ContainerError, match="header is a JSON list"):
+        read_container(str(path))

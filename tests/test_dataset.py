@@ -89,11 +89,6 @@ def test_protocol_rejects_bad_heldout():
         StreamProtocol("t", 2, 2, (0, 1), 0, {0: frozenset({0, 1})})
 
 
-def test_protocol_num_sessions_counts_heldout():
-    proto = StreamProtocol("t", 3, 2, (2, 0, 1), 0, {0: frozenset({1})})
-    assert proto.num_sessions == 3 * 2 - 1
-
-
 def test_make_protocol_is_seeded_and_reproducible():
     a = make_protocol("p", 10, 3, seed=1)
     b = make_protocol("p", 10, 3, seed=1)
@@ -176,6 +171,16 @@ def test_idx_error_truncations(tmp_path):
     write_idx_labels(tmp_path / "lb", [0, 0, 0])
     with pytest.raises(IdxFormatError, match="says 3 items"):
         load_idx(str(tmp_path / "cut"), str(tmp_path / "lb"))
+
+
+def test_idx_error_impossible_size(tmp_path):
+    # 2**31 images of 2**16 x 2**16 pixels: no read of that size is attempted
+    payload = struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**31, 2**16, 2**16) + bytes(4)
+    write_idx_labels(tmp_path / "lb", [0])
+    for name, blob in (("huge", payload), ("huge.gz", gzip.compress(payload))):
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(IdxFormatError, match="says 2147483648 items"):
+            load_idx(str(tmp_path / name), str(tmp_path / "lb"))
 
 
 def test_idx_error_trailing_bytes(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import sys
 
 import pytest
@@ -34,6 +35,9 @@ def test_removed_names_are_gone(name):
 
 def test_removed_members_and_parameters_are_gone():
     assert not hasattr(mvcil.RandomEncoder, "encode")
+    assert not hasattr(mvcil.RandomEncoder, "create")
+    assert "seed" not in {f.name for f in dataclasses.fields(mvcil.RandomEncoder)}
+    assert not hasattr(mvcil.StreamProtocol, "num_sessions")
     assert not hasattr(mvcil.ExtractionConfig, "make_coder")
     assert "code_activation" not in {f.name for f in dataclasses.fields(mvcil.ExtractionConfig)}
     assert list(inspect.signature(mvcil.fista_fit).parameters) == ["Z", "X", "lam", "K"]
@@ -64,6 +68,19 @@ def test_derived_and_unread_state_is_gone():
     assert not hasattr(model.head_projector, "samples_absorbed")
     with pytest.raises(TypeError):
         mvcil.evaluate_classes(model, [], 2)  # the class-count form is gone
+
+
+def test_container_is_the_only_file_writer():
+    # every output goes through container.atomic_open; a second hand-rolled
+    # temp-file-and-rename writer would drift from it
+    src = os.path.dirname(mvcil.__file__)
+    writers = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                if re.search(r"\btempfile\b|\bos\.replace\b", f.read()):
+                    writers.append(name)
+    assert writers == ["container.py"]
 
 
 def test_classes_consolidated_is_read_only():

@@ -4,7 +4,6 @@ import pytest
 from mvcil.sparse_features import (
     ACTIVATIONS,
     ExtractionConfig,
-    RandomEncoder,
     activation_derivative,
     apply_activation,
     extract_view_feature,
@@ -137,26 +136,33 @@ def test_unknown_activation_rejected():
 
 
 def test_encoder_seeded_and_frozen():
-    a = RandomEncoder.create(12, n=3, L=4, seed=7)
-    b = RandomEncoder.create(12, n=3, L=4, seed=7)
-    c = RandomEncoder.create(12, n=3, L=4, seed=8)
+    a = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
+    b = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
+    c = ExtractionConfig(n=3, L=4).make_encoder(12, seed=8)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert not np.array_equal(a.weights[0], c.weights[0])
+    # checkpoints regenerate encoders, so the draw order is part of the format
+    rng = np.random.default_rng(np.random.SeedSequence(7))
+    assert np.array_equal(a.weights[0], rng.uniform(-1.0, 1.0, size=(12, 4)))
+    assert np.array_equal(a.biases[0], rng.uniform(-1.0, 1.0, size=4))
+    assert np.array_equal(a.weights[1], rng.uniform(-1.0, 1.0, size=(12, 4)))
     with pytest.raises(ValueError):
         a.weights[0][0, 0] = 1.0
 
 
 def test_encoder_shape_and_range():
-    enc = RandomEncoder.create(6, n=2, L=5, seed=0)
+    enc = ExtractionConfig(n=2, L=5).make_encoder(6, seed=0)
     assert enc.n * enc.L == 10
     assert [w.shape for w in enc.weights] == [(6, 5)] * 2
     assert [b.shape for b in enc.biases] == [(5,)] * 2
     assert np.all(np.abs(enc.weights[0]) <= 1.0)
+    with pytest.raises(ValueError, match="input_dim"):
+        ExtractionConfig().make_encoder(0, seed=0)
 
 
 def test_extract_view_feature_contract(rng):
-    enc = RandomEncoder.create(9, n=2, L=4, activation="tanh", seed=3)
+    enc = ExtractionConfig(n=2, L=4, activation="tanh").make_encoder(9, seed=3)
     cfg = ExtractionConfig(lam=1e-3, max_iter=30)
     X = rng.uniform(0, 1, size=(25, 9))
     before = [w.copy() for w in enc.weights]
@@ -173,7 +179,7 @@ def test_extract_view_feature_contract(rng):
 def test_extract_fits_decoder_on_linear_codes(rng):
     # oracle: per group, FISTA on the linear codes X W_g + b_g, then
     # re-encode through the transposed decoder with the encoder's activation
-    enc = RandomEncoder.create(7, n=2, L=3, activation="sigmoid", seed=5)
+    enc = ExtractionConfig(n=2, L=3, activation="sigmoid").make_encoder(7, seed=5)
     cfg = ExtractionConfig(lam=1e-2, max_iter=20)
     X = rng.uniform(0, 1, size=(15, 7))
     want = [apply_activation("sigmoid", X @ fista_fit(X @ w + b, X, cfg.lam, cfg.max_iter).T + b)
@@ -183,7 +189,7 @@ def test_extract_fits_decoder_on_linear_codes(rng):
 
 
 def test_extract_sparsity_increases_with_lam(rng):
-    enc = RandomEncoder.create(9, n=2, L=6, seed=3)
+    enc = ExtractionConfig(n=2, L=6).make_encoder(9, seed=3)
     X = rng.uniform(0, 1, size=(30, 9))
     lo = extract_view_feature(enc, Batch(X), ExtractionConfig(lam=1e-4, max_iter=40))
     hi = extract_view_feature(enc, Batch(X), ExtractionConfig(lam=1.0, max_iter=40))

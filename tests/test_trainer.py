@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -374,6 +376,8 @@ def test_config_validation():
         RunConfig(consolidation=ConsolidationConfig(mu=float("nan")))
     with pytest.raises(ConfigError, match="fusion.alpha"):
         RunConfig.from_dict({"fusion": {"alpha": float("inf")}})
+    with pytest.raises(ConfigError, match="fusion.activation"):
+        RunConfig.from_dict({"fusion": {"activation": "relu"}})
 
 
 def test_config_field_types_cover_all_knobs():
@@ -401,10 +405,46 @@ def test_run_writes_report_checkpoint_manifest(tmp_path):
         manifest = json.load(f)
     assert manifest["metrics"]["avg_acc"] == res.avg_acc
     assert manifest["metrics"]["bwt"] == res.bwt
-    assert manifest["num_sessions"] == protocol.num_sessions
+    assert manifest["num_sessions"] == len(list(stream_sessions(protocol, data)))
     assert manifest["state_size_bytes"] == res.model.state_size_bytes()
     assert RunConfig.from_dict(manifest["config"]) == tiny_config()
     assert StreamProtocol.from_dict(manifest["protocol"]) == protocol
+
+
+def test_failed_manifest_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    data, protocol = tiny_data()
+    out = tmp_path / "out"
+    run(tiny_config(), data, protocol, out_dir=str(out))
+    before = (out / "manifest.json").read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trainer.json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run(tiny_config(seed=1), data, protocol, out_dir=str(out))
+    assert (out / "manifest.json").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+
+
+def test_eval_cache_keeps_no_batch_alive():
+    data, protocol = tiny_data()
+    model = Model(tiny_config())
+    for batch in stream_sessions(protocol, data):
+        model.train_session(batch)
+    refs = []
+    for i in range(50):
+        src = data.test[i % len(data.test)]
+        batch = ViewBatch(src.class_id, src.view_id, src.inputs.copy(), src.labels.copy())
+        model.predict_labels(batch)
+        refs.append(weakref.ref(batch))
+    del batch
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # a batch the caller still holds is answered from the cache
+    held = data.test[0]
+    first = model.features_for_eval(held)
+    assert model.features_for_eval(held) is first
 
 
 def test_heldout_views_never_trained_and_reported():
