@@ -26,8 +26,8 @@ import contextlib
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -51,8 +51,18 @@ def _canonical_dtype(arr: np.ndarray) -> np.ndarray:
 def atomic_open(path: str, mode: str = "w", **kwargs):
     """Open a temporary file next to `path` for writing. A clean exit
     renames it over `path`; an error removes it and leaves `path` as it was.
+
+    The temporary is created with mode 0666 under a fresh random name, so
+    the process umask sets the output's permissions as it does for `open`.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f"{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, mode, **kwargs) as f:
             yield f

@@ -49,9 +49,11 @@ class Projector:
             gram = self.alpha * np.eye(zb.shape[0]) + kb @ zb.T
             if not np.all(np.isfinite(gram)) or np.any(np.diag(gram) <= 0):
                 raise FloatingPointError("degenerate projector block update")
-            self.P = self.P - kb.T @ np.linalg.solve(gram, kb)
-        # keep P numerically symmetric
-        self.P = (self.P + self.P.T) / 2.0
+            self.P -= kb.T @ np.linalg.solve(gram, kb)
+        # keep P numerically symmetric; in place, as above, to spare the
+        # d x d temporaries of the out-of-place form
+        self.P += self.P.T
+        self.P /= 2.0
 
 
 class FusionLayer:

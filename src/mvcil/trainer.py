@@ -23,6 +23,7 @@ import math
 import os
 import time
 import weakref
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -394,8 +395,7 @@ class Model:
         """Bytes held by live training state (excludes eval-time caches)."""
         total = sum(getattr(owner, attr).nbytes for _, owner, attr in self._state())
         for enc in self.encoders.values():
-            total += sum(w.nbytes for w in enc.weights)
-            total += sum(b.nbytes for b in enc.biases)
+            total += enc.weights.nbytes + enc.bias.nbytes
         return total
 
     def save_checkpoint(self, path: str) -> None:
@@ -462,6 +462,9 @@ def run(
     report_path = os.path.join(out_dir, "report.csv") if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    test_samples: Counter[int] = Counter()
+    for b in data.test:
+        test_samples[b.class_id] += b.num_samples
 
     for i, batch in enumerate(sessions):
         start = time.perf_counter()
@@ -473,9 +476,8 @@ def run(
         for slot, acc in enumerate(row):
             if np.isnan(acc):
                 continue
-            n = sum(b.num_samples for b in data.test
-                    if b.class_id == model.slot_to_class[slot])
-            matrix.set_cell(len(model.slot_to_class) - 1, slot, acc, n)
+            matrix.set_cell(len(model.slot_to_class) - 1, slot, acc,
+                            test_samples[model.slot_to_class[slot]])
         if report_path:
             evaluation.emit_report(report_path, matrix)
     model.finish_stream()
@@ -508,4 +510,7 @@ def run(
         with container.atomic_open(os.path.join(out_dir, "manifest.json")) as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
+    # the cached test features live as long as the caller holds data.test;
+    # a later predict rebuilds what it needs
+    model._eval_cache.clear()
     return RunResult(manifest, matrix, model, final_avg, final_bwt)

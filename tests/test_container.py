@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -144,3 +145,18 @@ def test_header_must_be_an_object(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<HI", VERSION, 2) + b"[]" + struct.pack("<I", 0))
     with pytest.raises(ContainerError, match="header is a JSON list"):
         read_container(str(path))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        path = str(tmp_path / "box.mvcl")
+        write_container(path, {}, {"x": np.zeros(2)})
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
+    assert os.stat(tmp_path / "plain").st_mode & 0o777 == mode

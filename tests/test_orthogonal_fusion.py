@@ -66,6 +66,25 @@ def test_block_equals_rank_one_sequence(rng):
     assert np.allclose(one.P, block.P, atol=1e-10)
 
 
+def test_in_place_absorb_matches_out_of_place_form(rng):
+    # the update runs in place; it must equal the plain formula bit for bit,
+    # across several chunks, and leave P exactly symmetric
+    d, chunk = 9, 4
+    proj = Projector(d, alpha=0.7)
+    ref = np.eye(d)
+    for _ in range(3):
+        Z = rng.standard_normal((11, d))
+        proj.absorb(Z, chunk_size=chunk)
+        for start in range(0, Z.shape[0], chunk):
+            zb = Z[start : start + chunk]
+            kb = zb @ ref
+            gram = 0.7 * np.eye(zb.shape[0]) + kb @ zb.T
+            ref = ref - kb.T @ np.linalg.solve(gram, kb)
+        ref = (ref + ref.T) / 2.0
+        assert np.array_equal(proj.P, ref)
+        assert np.array_equal(proj.P, proj.P.T)
+
+
 def test_projector_symmetric_and_contractive(rng):
     d = 8
     proj = Projector(d, alpha=1.0)

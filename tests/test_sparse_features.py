@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvcil import sparse_features
 from mvcil.sparse_features import (
     ACTIVATIONS,
     ExtractionConfig,
@@ -38,6 +39,20 @@ def test_soft_threshold_hand_values():
 def test_soft_threshold_rejects_negative_tau():
     with pytest.raises(ValueError):
         soft_threshold(np.zeros(3), -0.1)
+    with pytest.raises(ValueError):
+        soft_threshold(np.zeros((2, 1, 3)), np.array([[[0.1]], [[-0.1]]]))
+
+
+def test_soft_threshold_matches_sign_form_into_out(rng):
+    # x - clip(x, -tau, tau) equals sign(x) * max(|x| - tau, 0) exactly, up
+    # to the sign of a zero; tau may be one value per stack entry
+    x = rng.standard_normal((3, 4, 5))
+    tau = np.array([0.0, 0.3, 5.0])[:, None, None]
+    want = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = np.empty_like(x)
+    assert soft_threshold(x, tau, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(soft_threshold(x, 0.3), np.sign(x) * np.maximum(np.abs(x) - 0.3, 0.0))
 
 
 def test_fista_first_step_uses_exact_lipschitz(rng):
@@ -118,6 +133,30 @@ def test_fista_validates_shapes(rng):
         fista_fit(np.zeros((5, 0)), rng.standard_normal((5, 2)), 0.1, 5)
 
 
+@pytest.mark.parametrize("dim", [784, 32])
+def test_fista_stack_equals_per_slice_solves(rng, dim):
+    # a stack of code matrices sharing one X solves each entry on its own,
+    # bit for bit, at the benchmark's widest and narrowest input widths
+    Z = rng.standard_normal((3, 64, 20))
+    X = rng.uniform(0, 1, size=(64, dim))
+    stacked = fista_fit(Z, X, lam=1e-3, K=30)
+    assert stacked.shape == (3, 20, dim)
+    for g in range(3):
+        assert np.array_equal(stacked[g], fista_fit(Z[g], X, lam=1e-3, K=30))
+
+
+def test_fista_zero_group_takes_unit_step_alone(rng):
+    Z = rng.standard_normal((3, 20, 5))
+    Z[1] = 0.0
+    X = rng.standard_normal((20, 4))
+    with pytest.warns(UserWarning, match="1 of 3"):
+        theta = fista_fit(Z, X, lam=0.1, K=10)
+    # unit step on a zero Gram matrix and zero Z^T X: the iterates stay zero
+    assert np.count_nonzero(theta[1]) == 0
+    for g in (0, 2):
+        assert np.array_equal(theta[g], fista_fit(Z[g], X, lam=0.1, K=10))
+
+
 def test_activation_derivatives_match_finite_differences(rng):
     x = rng.uniform(-2.0, 2.0, size=(4, 5))
     eps = 1e-6
@@ -139,24 +178,29 @@ def test_encoder_seeded_and_frozen():
     a = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
     b = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
     c = ExtractionConfig(n=3, L=4).make_encoder(12, seed=8)
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa, wb)
-    assert not np.array_equal(a.weights[0], c.weights[0])
-    # checkpoints regenerate encoders, so the draw order is part of the format
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.bias, b.bias)
+    assert not np.array_equal(a.weights, c.weights)
+    # checkpoints regenerate encoders, so the draw order is part of the
+    # format: per group, its column block of weights and then of bias
     rng = np.random.default_rng(np.random.SeedSequence(7))
-    assert np.array_equal(a.weights[0], rng.uniform(-1.0, 1.0, size=(12, 4)))
-    assert np.array_equal(a.biases[0], rng.uniform(-1.0, 1.0, size=4))
-    assert np.array_equal(a.weights[1], rng.uniform(-1.0, 1.0, size=(12, 4)))
+    for g in range(3):
+        cols = slice(4 * g, 4 * g + 4)
+        assert np.array_equal(a.weights[:, cols], rng.uniform(-1.0, 1.0, size=(12, 4)))
+        assert np.array_equal(a.bias[cols], rng.uniform(-1.0, 1.0, size=4))
     with pytest.raises(ValueError):
-        a.weights[0][0, 0] = 1.0
+        a.weights[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        a.bias[0] = 1.0
 
 
 def test_encoder_shape_and_range():
     enc = ExtractionConfig(n=2, L=5).make_encoder(6, seed=0)
     assert enc.n * enc.L == 10
-    assert [w.shape for w in enc.weights] == [(6, 5)] * 2
-    assert [b.shape for b in enc.biases] == [(5,)] * 2
-    assert np.all(np.abs(enc.weights[0]) <= 1.0)
+    assert enc.weights.shape == (6, 10)
+    assert enc.bias.shape == (10,)
+    assert np.all(np.abs(enc.weights) <= 1.0)
+    assert np.all(np.abs(enc.bias) <= 1.0)
     with pytest.raises(ValueError, match="input_dim"):
         ExtractionConfig().make_encoder(0, seed=0)
 
@@ -165,27 +209,36 @@ def test_extract_view_feature_contract(rng):
     enc = ExtractionConfig(n=2, L=4, activation="tanh").make_encoder(9, seed=3)
     cfg = ExtractionConfig(lam=1e-3, max_iter=30)
     X = rng.uniform(0, 1, size=(25, 9))
-    before = [w.copy() for w in enc.weights]
+    before = enc.weights.copy(), enc.bias.copy()
     vf = extract_view_feature(enc, Batch(X), cfg)
     assert vf.features.shape == (25, 8)
     assert 0.0 <= vf.sparsity <= 1.0
     assert np.all(np.abs(vf.features) <= 1.0)  # tanh range
-    for w, w0 in zip(enc.weights, before):
-        assert np.array_equal(w, w0)
+    assert np.array_equal(enc.weights, before[0])
+    assert np.array_equal(enc.bias, before[1])
     with pytest.raises(ValueError, match="input_dim"):
         extract_view_feature(enc, Batch(X[:, :5]), cfg)
 
 
 def test_extract_fits_decoder_on_linear_codes(rng):
     # oracle: per group, FISTA on the linear codes X W_g + b_g, then
-    # re-encode through the transposed decoder with the encoder's activation
-    enc = ExtractionConfig(n=2, L=3, activation="sigmoid").make_encoder(7, seed=5)
+    # re-encode through the transposed decoder with the encoder's activation.
+    # The codes are column blocks of one X W + b product: a separate
+    # narrow product X W_g may differ from it in the last bit. The 7-wide
+    # encoder is one stack; the 784-wide one a stack of 2 groups, then 1.
+    assert sparse_features._FISTA_CHUNK // (20 * 784) == 2
     cfg = ExtractionConfig(lam=1e-2, max_iter=20)
-    X = rng.uniform(0, 1, size=(15, 7))
-    want = [apply_activation("sigmoid", X @ fista_fit(X @ w + b, X, cfg.lam, cfg.max_iter).T + b)
-            for w, b in zip(enc.weights, enc.biases)]
-    vf = extract_view_feature(enc, Batch(X), cfg)
-    assert np.array_equal(vf.features, np.concatenate(want, axis=1))
+    for n, L, dim in ((2, 3, 7), (3, 20, 784)):
+        enc = ExtractionConfig(n=n, L=L, activation="sigmoid").make_encoder(dim, seed=5)
+        X = rng.uniform(0, 1, size=(15, dim))
+        codes = X @ enc.weights + enc.bias
+        want = []
+        for g in range(n):
+            cols = slice(g * L, (g + 1) * L)
+            theta = fista_fit(codes[:, cols], X, cfg.lam, cfg.max_iter)
+            want.append(apply_activation("sigmoid", X @ theta.T + enc.bias[cols]))
+        vf = extract_view_feature(enc, Batch(X), cfg)
+        assert np.array_equal(vf.features, np.concatenate(want, axis=1))
 
 
 def test_extract_sparsity_increases_with_lam(rng):

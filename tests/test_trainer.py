@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mvcil import container, trainer
+from mvcil import container, evaluation, trainer
 from mvcil.consolidation import swc_loss_and_grad
 from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from mvcil.evaluation import parse_report
@@ -122,7 +122,7 @@ def test_state_size_counts_live_arrays_and_encoders():
     model = run(tiny_config(), data, protocol).model
     want = sum(a.nbytes for a in model_arrays(model))
     for enc in model.encoders.values():
-        want += sum(w.nbytes for w in enc.weights) + sum(b.nbytes for b in enc.biases)
+        want += enc.weights.nbytes + enc.bias.nbytes
     assert model.state_size_bytes() == want
 
 
@@ -445,6 +445,15 @@ def test_eval_cache_keeps_no_batch_alive():
     held = data.test[0]
     first = model.features_for_eval(held)
     assert model.features_for_eval(held) is first
+
+
+def test_finished_run_keeps_no_test_features():
+    data, protocol = tiny_data()
+    res = run(tiny_config(), data, protocol)
+    assert len(res.model._eval_cache) == 0
+    # the model still predicts as it did for the final row
+    final = evaluation.evaluate_classes(res.model, data.test, res.model.slot_to_class)
+    assert final == list(res.matrix.R[-1])
 
 
 def test_heldout_views_never_trained_and_reported():
