@@ -14,7 +14,6 @@ from .consolidation import (
     end_of_class,
     expand_head,
     fisher_diag,
-    head_forward,
     swc_loss_and_grad,
 )
 from .dataset import (
@@ -76,7 +75,6 @@ __all__ = [
     "familiar_view_eval",
     "fisher_diag",
     "fista_fit",
-    "head_forward",
     "load_feature_views",
     "load_idx",
     "make_permuted_views",

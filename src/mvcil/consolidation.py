@@ -78,11 +78,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def head_forward(head: DecisionHead, H: np.ndarray) -> np.ndarray:
-    """Class probability matrix, rows summing to 1."""
-    return softmax(head.logits(H))
-
-
 def expand_head(head: DecisionHead, new_class_id: int) -> DecisionHead:
     """Add one zero-initialized output column for the next class slot.
 
@@ -110,7 +105,7 @@ def fisher_diag(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> Fisher
     labels = np.asarray(labels)
     if H.shape[0] == 0:
         raise ValueError("Fisher estimate needs a nonempty batch")
-    probs = head_forward(head, H)
+    probs = softmax(head.logits(H))
     delta = probs.copy()
     delta[np.arange(H.shape[0]), labels] -= 1.0
     diag = (H * H).T @ (delta * delta) / H.shape[0]
@@ -135,7 +130,7 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
             f"labels must lie in [0, {head.classes_seen}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    probs = head_forward(head, H)
+    probs = softmax(head.logits(H))
     eps = 1e-300  # guards log(0) for a fully confident wrong prediction
     ce = -float(np.mean(np.log(probs[np.arange(n), labels] + eps)))
     delta = probs

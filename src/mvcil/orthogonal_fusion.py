@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sparse_features import ACTIVATIONS, activation_derivative, apply_activation
-
 
 class Projector:
     """Orthogonal projector maintained recursively; fresh state is I."""
@@ -57,46 +55,41 @@ class Projector:
 
 
 class FusionLayer:
-    """One affine + activation fusion stage with projector-modulated updates."""
+    """One affine + tanh fusion stage with projector-modulated updates."""
 
     def __init__(
         self,
         d_in: int,
         d_out: int,
-        activation: str = "tanh",
         eta: float = 0.01,
         alpha: float = 1.0,
         seed: int = 0,
     ):
         if d_in < 1 or d_out < 1:
             raise ValueError(f"layer dims must be >= 1, got {d_in}, {d_out}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
         if eta <= 0:
             raise ValueError(f"eta must be > 0, got {eta}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         limit = np.sqrt(6.0 / (d_in + d_out))
         self.weights = rng.uniform(-limit, limit, size=(d_in, d_out))
         self.bias = np.zeros(d_out)
-        self.activation = activation
         self.eta = float(eta)
         self.projector = Projector(d_in, alpha)
 
     def forward(self, Z: np.ndarray) -> np.ndarray:
-        """activation(Z @ W + b)."""
+        """tanh(Z @ W + b)."""
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2 or Z.shape[1] != self.weights.shape[0]:
             raise ValueError(
                 f"expected inputs with {self.weights.shape[0]} columns, got shape {Z.shape}"
             )
-        return apply_activation(self.activation, Z @ self.weights + self.bias)
+        return np.tanh(Z @ self.weights + self.bias)
 
     def forward_with_grad(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (activations, elementwise activation derivative at the preactivation)."""
+        """Returns (activations, elementwise tanh derivative at the preactivation)."""
         Z = np.asarray(Z, dtype=np.float64)
-        pre = Z @ self.weights + self.bias
-        out = apply_activation(self.activation, pre)
-        return out, activation_derivative(self.activation, pre, out)
+        out = np.tanh(Z @ self.weights + self.bias)
+        return out, 1.0 - out * out
 
     def orthogonal_step(self, direction: np.ndarray, grad_b: np.ndarray | None = None) -> None:
         """W <- W - eta * direction; bias steps unprojected.

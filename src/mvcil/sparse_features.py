@@ -2,8 +2,8 @@
 
 A frozen grouped random encoder maps inputs to codes; a FISTA-fit sparse
 decoder is solved per view, and the view-optimal feature is the input
-re-encoded through the fitted (transposed) decoder weights with the
-encoder's activation and original random bias.
+re-encoded through the fitted (transposed) decoder weights and the
+encoder's original random bias, then passed through tanh.
 """
 
 from __future__ import annotations
@@ -12,34 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("linear", "tanh", "sigmoid")
-
-
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return x
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
-
-def activation_derivative(name: str, preact: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Derivative of the activation w.r.t. its preactivation.
-
-    `out` is the already-computed activation output, reused so tanh/sigmoid
-    derivatives cost one elementwise expression.
-    """
-    if name == "linear":
-        return np.ones_like(preact)
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
 
 @dataclass(frozen=True)
 class RandomEncoder:
@@ -55,7 +27,6 @@ class RandomEncoder:
     n: int
     L: int
     input_dim: int
-    activation: str
     weights: np.ndarray
     bias: np.ndarray
 
@@ -149,7 +120,6 @@ class ExtractionConfig:
     L: int = 20
     max_iter: int = 50
     lam: float = 1e-3
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.L < 1:
@@ -158,10 +128,6 @@ class ExtractionConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
-            )
 
     def make_encoder(self, input_dim: int, seed: int) -> RandomEncoder:
         """The frozen encoder for inputs of width `input_dim`, drawn from
@@ -177,7 +143,7 @@ class ExtractionConfig:
             bias[cols] = rng.uniform(-1.0, 1.0, size=self.L)
         weights.setflags(write=False)
         bias.setflags(write=False)
-        return RandomEncoder(self.n, self.L, input_dim, self.activation, weights, bias)
+        return RandomEncoder(self.n, self.L, input_dim, weights, bias)
 
 
 @dataclass(frozen=True)
@@ -194,7 +160,7 @@ class ViewFeature:
 
 def extract_view_feature(encoder: RandomEncoder, batch, config: ExtractionConfig) -> ViewFeature:
     """Alg.-style extraction: encode, fit the sparse decoder per group,
-    re-encode with theta* = theta'^T and the original random bias.
+    re-encode with theta* = theta'^T and the original random bias, then tanh.
 
     Groups are fit together in stacks of _FISTA_CHUNK // (L * D) (at least
     one), each stack re-encoded into its columns of the output, so no
@@ -222,5 +188,5 @@ def extract_view_feature(encoder: RandomEncoder, batch, config: ExtractionConfig
         zeros += int(np.count_nonzero(theta == 0.0))
         # theta*_g = theta'_g^T maps inputs back to this group's L nodes
         pre = X @ np.swapaxes(theta, -1, -2) + bias[groups, None, :]
-        feats[:, groups] = apply_activation(encoder.activation, pre).transpose(1, 0, 2)
+        feats[:, groups] = np.tanh(pre).transpose(1, 0, 2)
     return ViewFeature(features=feats.reshape(N, n * L), sparsity=zeros / (n * L * D))

@@ -40,7 +40,7 @@ from .consolidation import (
 )
 from .dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from .orthogonal_fusion import FusionLayer, Projector
-from .sparse_features import ACTIVATIONS, ExtractionConfig, extract_view_feature
+from .sparse_features import ExtractionConfig, extract_view_feature
 
 MODES = ("full", "net1_orth_only", "net2_orth_both")
 CONFIG_SCHEMA_VERSION = 1
@@ -55,25 +55,20 @@ class FusionConfig:
     alpha: float = 1.0
     eta: float = 0.01
     width: int = 200
-    activation: str = "tanh"
     projector_enabled: bool = True
-    head_projector_alpha: float = 1.0  # 0 means: reuse alpha
+    head_projector_alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ConfigError(f"fusion.alpha must be > 0, got {self.alpha}")
         if self.eta <= 0:
             raise ConfigError(f"fusion.eta must be > 0, got {self.eta}")
-        if self.head_projector_alpha < 0:
+        if self.head_projector_alpha <= 0:
             raise ConfigError(
-                f"fusion.head_projector_alpha must be >= 0, got {self.head_projector_alpha}"
+                f"fusion.head_projector_alpha must be > 0, got {self.head_projector_alpha}"
             )
         if self.width < 1:
             raise ConfigError(f"fusion.width must be >= 1, got {self.width}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"fusion.activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,8 @@ SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
 # keys earlier versions wrote, each accepted only at the value the code now
 # always uses, so their checkpoints and manifests still load
 RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
-           "fusion.depth": 1, "consolidation.train_head_bias": False}
+           "fusion.depth": 1, "consolidation.train_head_bias": False,
+           "encoder.activation": "tanh", "fusion.activation": "tanh"}
 
 
 def _retired(key: str, value) -> bool:
@@ -203,21 +199,19 @@ class Model:
         self.fusion = FusionLayer(
             config.encoder.n * config.encoder.L,
             config.fusion.width,
-            activation=config.fusion.activation,
             eta=config.fusion.eta,
             alpha=config.fusion.alpha,
             seed=int(derive_seed(config.seed, 0xF5, 0).generate_state(1)[0]),
         )
         head_mu = config.consolidation.mu if config.mode == "full" else 0.0
         self.head = DecisionHead(config.fusion.width, mu=head_mu)
-        head_alpha = config.fusion.head_projector_alpha or config.fusion.alpha
         # full keeps the class-level projector too: the consolidation penalty
         # anchors old columns while the projector stops new columns from
         # growing along directions old classes occupy. Without the projector a
         # fresh column out-ratchets every anchored one through the shared
         # component of the hidden activations.
         self.head_projector = (
-            Projector(config.fusion.width, head_alpha)
+            Projector(config.fusion.width, config.fusion.head_projector_alpha)
             if config.mode in ("full", "net2_orth_both")
             else None
         )

@@ -337,16 +337,16 @@ def test_criterion_08_ablation_ordering():
 
 def test_criterion_09_alpha_sensitivity_direction():
     cache = _ensure_cache("pfmnist-10x3", "fashion", reduced=True)
-    # head_projector_alpha=0 means "reuse fusion.alpha", so the sweep moves
-    # the one orthogonality coefficient for both the view-level and the
-    # class-level projector: small alpha starves plasticity, large alpha
-    # unleashes forgetting, and the default sits between them.
+    # head_projector_alpha follows alpha, so the sweep moves the one
+    # orthogonality coefficient for both the view-level and the class-level
+    # projector: small alpha starves plasticity, large alpha unleashes
+    # forgetting, and the default sits between them.
     means = {}
     for alpha in (0.1, 1.0, 100.0):
         configs = [
             RunConfig(
                 seed=s,
-                fusion=FusionConfig(alpha=alpha, head_projector_alpha=0.0),
+                fusion=FusionConfig(alpha=alpha, head_projector_alpha=alpha),
             )
             for s in SEEDS
         ]

@@ -205,12 +205,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["train", "--cache", "none.mvcl", "--set", "consolidation.head_lr=0"],
         # NaN passes every bound check and would silently switch the penalty off
         ["train", "--cache", "none.mvcl", "--set", "consolidation.mu=nan"],
-        # checked with the config, before the cache is looked for
+        # a retired key is unknown to --set; checked with the config,
+        # before the cache is looked for
         ["train", "--cache", "none.mvcl", "--set", "fusion.activation=relu"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         assert "error:" in capsys.readouterr().err
+    # a config file may hold a retired activation key only at "tanh"
+    sigmoid = tmp_path / "sigmoid.json"
+    sigmoid.write_text(json.dumps({"fusion": {"activation": "sigmoid"}}))
+    assert main(["train", "--cache", "none.mvcl", "--config", str(sigmoid)]) == EXIT_CONFIG
+    assert "fusion.activation" in capsys.readouterr().err
     # a header claiming 2**31 images of 2**16 x 2**16 pixels
     huge = struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**31, 2**16, 2**16)
     with open(os.path.join(src, "train-images-idx3-ubyte"), "wb") as f:

@@ -7,7 +7,6 @@ from mvcil.consolidation import (
     end_of_class,
     expand_head,
     fisher_diag,
-    head_forward,
     softmax,
     swc_loss_and_grad,
 )
@@ -27,7 +26,7 @@ def test_untrained_two_class_head_is_uniform():
     head = DecisionHead(4, mu=0.0)
     expand_head(head, 0)
     expand_head(head, 1)
-    probs = head_forward(head, np.ones((3, 4)))
+    probs = softmax(head.logits(np.ones((3, 4))))
     assert np.allclose(probs, 0.5)
 
 
@@ -35,7 +34,7 @@ def test_single_class_softmax_is_degenerate():
     head = DecisionHead(5, mu=1000.0)
     expand_head(head, 0)
     H = np.random.default_rng(0).standard_normal((7, 5))
-    probs = head_forward(head, H)
+    probs = softmax(head.logits(H))
     assert np.allclose(probs, 1.0)
     grads = swc_loss_and_grad(head, H, np.zeros(7, dtype=int))
     assert grads.loss == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +66,7 @@ def test_fisher_matches_per_sample_brute_force(rng):
     H = rng.standard_normal((9, 4))
     labels = rng.integers(0, 3, size=9)
     est = fisher_diag(head, H, labels)
-    probs = head_forward(head, H)
+    probs = softmax(head.logits(H))
     acc = np.zeros_like(head.weights)
     for i in range(9):
         delta = probs[i].copy()
@@ -127,7 +126,7 @@ def test_mu_zero_is_plain_cross_entropy(rng):
     H = rng.standard_normal((5, 4))
     labels = rng.integers(0, 3, size=5)
     grads = swc_loss_and_grad(head, H, labels)
-    probs = head_forward(head, H)
+    probs = softmax(head.logits(H))
     ce = -np.mean(np.log(probs[np.arange(5), labels]))
     assert grads.loss == pytest.approx(ce)
 

@@ -160,11 +160,28 @@ def test_fusion_layer_seeded_init_and_forward(rng):
         a.forward(X[:, :5])
 
 
+def test_activation_derivatives_match_finite_differences(rng):
+    # forward_with_grad's derivative against central differences of forward
+    # in the bias: out[:, j] depends on bias[j] alone
+    layer = FusionLayer(5, 4, seed=2)
+    layer.bias = rng.uniform(-1.0, 1.0, size=4)
+    Z = rng.uniform(-2.0, 2.0, size=(6, 5))
+    out, dact = layer.forward_with_grad(Z)
+    assert np.array_equal(out, layer.forward(Z))
+    eps = 1e-6
+    b0 = layer.bias
+    layer.bias = b0 + eps
+    up = layer.forward(Z)
+    layer.bias = b0 - eps
+    down = layer.forward(Z)
+    assert np.allclose(dact, (up - down) / (2 * eps), atol=1e-8)
+
+
 def test_learning_without_interference(rng):
     # after absorbing a batch, steps along (Z_new P)^T da, the direction the
     # trainer builds, leave the absorbed batch's outputs unchanged
     d_in, d_out = 10, 3
-    layer = FusionLayer(d_in, d_out, activation="linear", eta=0.1, alpha=1e-6, seed=5)
+    layer = FusionLayer(d_in, d_out, eta=0.1, alpha=1e-6, seed=5)
     Z_old = rng.standard_normal((4, d_in))  # rank 4 of 10: room to keep learning
     layer.projector.absorb(Z_old)
     out_before = layer.forward(Z_old)

@@ -13,7 +13,8 @@ from mvcil.dataset import save_split
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 REMOVED = ("SparseCoder", "encode", "fusion_forward", "orthogonal_step",
-           "projector_direct", "emit_embeddings", "lipschitz_constant")
+           "projector_direct", "emit_embeddings", "lipschitz_constant",
+           "head_forward", "apply_activation", "activation_derivative", "ACTIVATIONS")
 
 
 def test_every_exported_name_resolves():
@@ -29,7 +30,7 @@ def test_exports_sorted_and_unique():
 def test_removed_names_are_gone(name):
     assert name not in mvcil.__all__
     assert not hasattr(mvcil, name)
-    for module in ("sparse_features", "orthogonal_fusion", "evaluation"):
+    for module in ("sparse_features", "orthogonal_fusion", "evaluation", "consolidation"):
         assert not hasattr(importlib.import_module(f"mvcil.{module}"), name)
 
 
@@ -49,6 +50,11 @@ def test_removed_members_and_parameters_are_gone():
                         (mvcil.FusionConfig, "depth"),
                         (mvcil.ConsolidationConfig, "train_head_bias")):
         assert name not in {f.name for f in dataclasses.fields(klass)}, name
+    # re-encoding and fusion always use tanh
+    for klass in (mvcil.ExtractionConfig, mvcil.FusionConfig, mvcil.RandomEncoder):
+        assert "activation" not in {f.name for f in dataclasses.fields(klass)}, klass.__name__
+    assert "activation" not in inspect.signature(mvcil.FusionLayer).parameters
+    assert not hasattr(mvcil.FusionLayer(2, 2), "activation")
     assert [f.name for f in dataclasses.fields(mvcil.ViewFeature)] == ["features", "sparsity"]
     assert not hasattr(mvcil.Model, "hidden")
     assert not hasattr(mvcil.FusionLayer, "d_in")

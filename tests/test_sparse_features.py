@@ -3,10 +3,7 @@ import pytest
 
 from mvcil import sparse_features
 from mvcil.sparse_features import (
-    ACTIVATIONS,
     ExtractionConfig,
-    activation_derivative,
-    apply_activation,
     extract_view_feature,
     fista_fit,
     soft_threshold,
@@ -157,23 +154,6 @@ def test_fista_zero_group_takes_unit_step_alone(rng):
         assert np.array_equal(theta[g], fista_fit(Z[g], X, lam=0.1, K=10))
 
 
-def test_activation_derivatives_match_finite_differences(rng):
-    x = rng.uniform(-2.0, 2.0, size=(4, 5))
-    eps = 1e-6
-    for name in ACTIVATIONS:
-        out = apply_activation(name, x)
-        deriv = activation_derivative(name, x, out)
-        fd = (apply_activation(name, x + eps) - apply_activation(name, x - eps)) / (2 * eps)
-        assert np.allclose(deriv, fd, atol=1e-8)
-
-
-def test_unknown_activation_rejected():
-    with pytest.raises(ValueError):
-        apply_activation("relu", np.zeros(3))
-    with pytest.raises(ValueError):
-        activation_derivative("relu", np.zeros(3), np.zeros(3))
-
-
 def test_encoder_seeded_and_frozen():
     a = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
     b = ExtractionConfig(n=3, L=4).make_encoder(12, seed=7)
@@ -206,7 +186,7 @@ def test_encoder_shape_and_range():
 
 
 def test_extract_view_feature_contract(rng):
-    enc = ExtractionConfig(n=2, L=4, activation="tanh").make_encoder(9, seed=3)
+    enc = ExtractionConfig(n=2, L=4).make_encoder(9, seed=3)
     cfg = ExtractionConfig(lam=1e-3, max_iter=30)
     X = rng.uniform(0, 1, size=(25, 9))
     before = enc.weights.copy(), enc.bias.copy()
@@ -222,21 +202,21 @@ def test_extract_view_feature_contract(rng):
 
 def test_extract_fits_decoder_on_linear_codes(rng):
     # oracle: per group, FISTA on the linear codes X W_g + b_g, then
-    # re-encode through the transposed decoder with the encoder's activation.
+    # re-encode through the transposed decoder and the bias, then tanh.
     # The codes are column blocks of one X W + b product: a separate
     # narrow product X W_g may differ from it in the last bit. The 7-wide
     # encoder is one stack; the 784-wide one a stack of 2 groups, then 1.
     assert sparse_features._FISTA_CHUNK // (20 * 784) == 2
     cfg = ExtractionConfig(lam=1e-2, max_iter=20)
     for n, L, dim in ((2, 3, 7), (3, 20, 784)):
-        enc = ExtractionConfig(n=n, L=L, activation="sigmoid").make_encoder(dim, seed=5)
+        enc = ExtractionConfig(n=n, L=L).make_encoder(dim, seed=5)
         X = rng.uniform(0, 1, size=(15, dim))
         codes = X @ enc.weights + enc.bias
         want = []
         for g in range(n):
             cols = slice(g * L, (g + 1) * L)
             theta = fista_fit(codes[:, cols], X, cfg.lam, cfg.max_iter)
-            want.append(apply_activation("sigmoid", X @ theta.T + enc.bias[cols]))
+            want.append(np.tanh(X @ theta.T + enc.bias[cols]))
         vf = extract_view_feature(enc, Batch(X), cfg)
         assert np.array_equal(vf.features, np.concatenate(want, axis=1))
 
@@ -256,8 +236,6 @@ def test_extraction_config_validation():
         ExtractionConfig(lam=-1.0)
     with pytest.raises(ValueError):
         ExtractionConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        ExtractionConfig(activation="step")
     cfg = ExtractionConfig()
     assert cfg.make_encoder(10, seed=1).input_dim == 10
 

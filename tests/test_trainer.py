@@ -167,8 +167,8 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
 
 def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     # checkpoints from earlier versions also stored mu as an array, four
-    # derived or unread header keys, and three retired config switches at
-    # their defaults; they still load the same model
+    # derived or unread header keys, and five retired config keys at their
+    # defaults; they still load the same model
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
     path = str(tmp_path / "legacy.mvcl")
@@ -179,6 +179,9 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     header["config"]["eval_cadence"] = "class"
     header["config"]["fusion"]["projector_reset_per_class"] = False
     header["config"]["consolidation"]["train_head_bias"] = False
+    header["config"]["encoder"]["activation"] = "tanh"
+    header["config"]["fusion"]["activation"] = "tanh"
+    assert RunConfig.from_dict(header["config"]) == res.model.config
     arrays["head/mu"] = np.array([res.model.head.mu])
     container.write_container(path, header, arrays)
     loaded = Model.load_checkpoint(path)
@@ -347,6 +350,8 @@ def test_config_round_trip_and_rejects_unknown():
     ("fusion", "projector_reset_per_class", True),
     ("fusion", "depth", 2),
     ("consolidation", "train_head_bias", True),
+    ("encoder", "activation", "sigmoid"),
+    ("fusion", "activation", "sigmoid"),
 ])
 def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
     raw = tiny_config().to_dict()
@@ -355,6 +360,12 @@ def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
     target[key] = other
     with pytest.raises(ConfigError, match=key):
         RunConfig.from_dict(raw)
+
+
+def test_no_retired_key_names_a_live_field():
+    # retired keys are dropped before the unknown-key check, so a retired
+    # key that named a live field would silently discard that setting
+    assert not set(trainer.RETIRED) & set(config_field_types())
 
 
 def test_config_validation():
@@ -371,6 +382,8 @@ def test_config_validation():
         ConsolidationConfig(max_steps_per_session=0)
     with pytest.raises(ConfigError, match="imprint_scale"):
         ConsolidationConfig(imprint_scale=0.0)
+    with pytest.raises(ConfigError, match="fusion.head_projector_alpha"):
+        FusionConfig(head_projector_alpha=0.0)
     # NaN fails every comparison, so it would pass the bound checks alone
     with pytest.raises(ConfigError, match="consolidation.mu"):
         RunConfig(consolidation=ConsolidationConfig(mu=float("nan")))
@@ -386,11 +399,11 @@ def test_config_field_types_cover_all_knobs():
     assert types["fusion.alpha"] is float
     assert types["fusion.projector_enabled"] is bool
     assert types["consolidation.max_steps_per_session"] is int
-    assert types["encoder.activation"] is str
+    assert "encoder.activation" not in types
     # every dotted key parses back to a dataclass field
     assert all("." in k or k in ("seed", "mode") for k in types)
     # a new knob must change this count on purpose
-    assert len(types) == 19
+    assert len(types) == 17
 
 
 def test_run_writes_report_checkpoint_manifest(tmp_path):
