@@ -34,6 +34,7 @@ IDX_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 MODE_ALIASES = {"net1": "net1_orth_only", "net2": "net2_orth_both", "full": "full"}
+BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def cache_root() -> str:
@@ -59,20 +60,8 @@ def parse_overrides(pairs: list[str]) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         typ = types[key]
         try:
-            if typ is bool:
-                if raw.lower() in ("true", "1"):
-                    value: object = True
-                elif raw.lower() in ("false", "0"):
-                    value = False
-                else:
-                    raise ValueError(raw)
-            elif typ is int:
-                value = int(raw)
-            elif typ is float:
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError as exc:
+            value = BOOL_WORDS[raw.lower()] if typ is bool else typ(raw)
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"cannot parse {raw!r} as {typ.__name__} for {key!r}") from exc
         out[key] = value
     return out

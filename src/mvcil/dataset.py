@@ -36,7 +36,7 @@ class FeatureTableError(ValueError):
 @dataclass(frozen=True, eq=False)
 class ViewBatch:
     """One (class, view) session: the unit of arrival in the stream. Compared
-    and hashed by identity, so a batch can key a weak cache."""
+    and hashed by identity, so a batch can key the feature memo of run()."""
 
     class_id: int
     view_id: int

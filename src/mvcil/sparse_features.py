@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check, setting
+
+
 @dataclass(frozen=True)
 class RandomEncoder:
     """n groups of frozen random affine maps, output dim n*L.
@@ -116,18 +119,13 @@ _FISTA_CHUNK = 1 << 15
 class ExtractionConfig:
     """Hyper-parameters for the encoder + sparse decoder pair."""
 
-    n: int = 30
-    L: int = 20
-    max_iter: int = 50
-    lam: float = 1e-3
+    n: int = setting(30, ge=1)
+    L: int = setting(20, ge=1)
+    max_iter: int = setting(50, ge=1)
+    lam: float = setting(1e-3, ge=0)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.L < 1:
-            raise ValueError(f"n and L must be >= 1, got {self.n}, {self.L}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        check("encoder", self)
 
     def make_encoder(self, input_dim: int, seed: int) -> RandomEncoder:
         """The frozen encoder for inputs of width `input_dim`, drawn from

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import time
-import weakref
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -30,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container, evaluation
+from .config import ConfigError, check, setting
 from .consolidation import (
     DecisionHead,
     FisherEstimate,
@@ -46,65 +45,29 @@ MODES = ("full", "net1_orth_only", "net2_orth_both")
 CONFIG_SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration."""
-
-
 @dataclass(frozen=True)
 class FusionConfig:
-    alpha: float = 1.0
-    eta: float = 0.01
-    width: int = 200
-    projector_enabled: bool = True
-    head_projector_alpha: float = 1.0
+    alpha: float = setting(1.0, gt=0)
+    eta: float = setting(0.01, gt=0)
+    width: int = setting(200, ge=1)
+    projector_enabled: bool = setting(True)
+    head_projector_alpha: float = setting(1.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError(f"fusion.alpha must be > 0, got {self.alpha}")
-        if self.eta <= 0:
-            raise ConfigError(f"fusion.eta must be > 0, got {self.eta}")
-        if self.head_projector_alpha <= 0:
-            raise ConfigError(
-                f"fusion.head_projector_alpha must be > 0, got {self.head_projector_alpha}"
-            )
-        if self.width < 1:
-            raise ConfigError(f"fusion.width must be >= 1, got {self.width}")
+        check("fusion", self)
 
 
 @dataclass(frozen=True)
 class ConsolidationConfig:
-    mu: float = 1000.0
-    epochs_per_session: int = 8
-    batch_size: int = 64
-    max_steps_per_session: int = 60
-    head_lr: float = 2e-3
-    imprint_scale: float = 2.0
+    mu: float = setting(1000.0, ge=0)
+    epochs_per_session: int = setting(8, ge=1)
+    batch_size: int = setting(64, ge=1)
+    max_steps_per_session: int = setting(60, ge=1)
+    head_lr: float = setting(2e-3, gt=0)
+    imprint_scale: float = setting(2.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ConfigError(f"consolidation.mu must be >= 0, got {self.mu}")
-        if self.epochs_per_session < 1:
-            raise ConfigError(
-                f"consolidation.epochs_per_session must be >= 1, got "
-                f"{self.epochs_per_session}"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"consolidation.batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.max_steps_per_session < 1:
-            raise ConfigError(
-                f"consolidation.max_steps_per_session must be >= 1, got "
-                f"{self.max_steps_per_session}"
-            )
-        if self.head_lr <= 0:
-            raise ConfigError(
-                f"consolidation.head_lr must be > 0, got {self.head_lr}"
-            )
-        if self.imprint_scale <= 0:
-            raise ConfigError(
-                f"consolidation.imprint_scale must be > 0, got {self.imprint_scale}"
-            )
+        check("consolidation", self)
 
 
 SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
@@ -128,22 +91,14 @@ def _retired(key: str, value) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    mode: str = "full"
+    seed: int = setting(0, ge=0)
+    mode: str = setting("full", choices=MODES)
     encoder: ExtractionConfig = field(default_factory=ExtractionConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     consolidation: ConsolidationConfig = field(default_factory=ConsolidationConfig)
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # NaN fails every comparison, so it slips past each section's bounds
-        for name in SECTIONS:
-            section = getattr(self, name)
-            for f in dataclasses.fields(section):
-                value = getattr(section, f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
+        check("", self)
 
     def to_dict(self) -> dict:
         return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(self)}
@@ -164,20 +119,14 @@ class RunConfig:
                 unknown = set(value) - known
                 if unknown:
                     raise ConfigError(f"unknown config keys in {key}: {sorted(unknown)}")
-                try:
-                    kwargs[key] = SECTIONS[key](**value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad {key} config: {exc}") from exc
+                kwargs[key] = SECTIONS[key](**value)
             elif _retired(key, value):
                 continue
             elif key in ("seed", "mode"):
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
 
 
 def config_field_types() -> dict[str, type]:
@@ -218,9 +167,8 @@ class Model:
         self.slot_to_class: list[int] = []
         self.session_index = 0
         self._pending_fisher: FisherEstimate | None = None
-        self._eval_cache: weakref.WeakKeyDictionary[ViewBatch, np.ndarray] = (
-            weakref.WeakKeyDictionary()
-        )
+        # test features by batch, kept only while run() evaluates
+        self._eval_memo: dict[ViewBatch, np.ndarray] | None = None
 
     # ---- feature path -------------------------------------------------
 
@@ -237,11 +185,13 @@ class Model:
         return extract_view_feature(enc, batch, self.config.encoder).features
 
     def features_for_eval(self, batch: ViewBatch) -> np.ndarray:
-        """Extraction is model-independent within a run, so a test batch's
-        features are cached for as long as the caller holds the batch."""
-        feats = self._eval_cache.get(batch)
+        """Extraction is model-independent, so while run() evaluates a test
+        batch's features are memoized; outside it every call extracts."""
+        if self._eval_memo is None:
+            return self.extract(batch)
+        feats = self._eval_memo.get(batch)
         if feats is None:
-            feats = self._eval_cache[batch] = self.extract(batch)
+            feats = self._eval_memo[batch] = self.extract(batch)
         return feats
 
     @property
@@ -460,21 +410,33 @@ def run(
     for b in data.test:
         test_samples[b.class_id] += b.num_samples
 
-    for i, batch in enumerate(sessions):
-        start = time.perf_counter()
-        model.train_session(batch)
-        timings.append(time.perf_counter() - start)
-        if i + 1 < len(sessions) and sessions[i + 1].class_id == batch.class_id:
-            continue
-        row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
-        for slot, acc in enumerate(row):
-            if np.isnan(acc):
+    model._eval_memo = {}
+    try:
+        for i, batch in enumerate(sessions):
+            start = time.perf_counter()
+            model.train_session(batch)
+            timings.append(time.perf_counter() - start)
+            if i + 1 < len(sessions) and sessions[i + 1].class_id == batch.class_id:
                 continue
-            matrix.set_cell(len(model.slot_to_class) - 1, slot, acc,
-                            test_samples[model.slot_to_class[slot]])
-        if report_path:
-            evaluation.emit_report(report_path, matrix)
-    model.finish_stream()
+            row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
+            for slot, acc in enumerate(row):
+                if np.isnan(acc):
+                    continue
+                matrix.set_cell(len(model.slot_to_class) - 1, slot, acc,
+                                test_samples[model.slot_to_class[slot]])
+            if report_path:
+                evaluation.emit_report(report_path, matrix)
+        model.finish_stream()
+        fam = None
+        if protocol.heldout_views:
+            held = [b for b in data.test
+                    if b.view_id in protocol.heldout_views.get(b.class_id, frozenset())]
+            shared = [b for b in data.test
+                      if b.view_id not in protocol.heldout_views.get(b.class_id, frozenset())]
+            fam = evaluation.familiar_view_eval(model, held, shared)
+    finally:
+        # the returned model keeps no test features; a later predict extracts
+        model._eval_memo = None
 
     final_avg = evaluation.avg_acc(matrix)
     final_bwt = evaluation.bwt(matrix)
@@ -491,12 +453,7 @@ def run(
         "state_size_bytes": model.state_size_bytes(),
         "metrics": {"avg_acc": final_avg, "bwt": final_bwt},
     }
-    if protocol.heldout_views:
-        held = [b for b in data.test
-                if b.view_id in protocol.heldout_views.get(b.class_id, frozenset())]
-        shared = [b for b in data.test
-                  if b.view_id not in protocol.heldout_views.get(b.class_id, frozenset())]
-        fam = evaluation.familiar_view_eval(model, held, shared)
+    if fam is not None:
         fam["heldout_per_class"] = {str(c): a for c, a in fam["heldout_per_class"].items()}
         manifest["familiar_view_eval"] = fam
     if out_dir:
@@ -504,7 +461,4 @@ def run(
         with container.atomic_open(os.path.join(out_dir, "manifest.json")) as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
-    # the cached test features live as long as the caller holds data.test;
-    # a later predict rebuilds what it needs
-    model._eval_cache.clear()
     return RunResult(manifest, matrix, model, final_avg, final_bwt)

@@ -217,6 +217,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     sigmoid.write_text(json.dumps({"fusion": {"activation": "sigmoid"}}))
     assert main(["train", "--cache", "none.mvcl", "--config", str(sigmoid)]) == EXIT_CONFIG
     assert "fusion.activation" in capsys.readouterr().err
+    # a mistyped value is refused, naming its key, before any work starts
+    for i, (raw, key) in enumerate([({"fusion": {"width": 2.5}}, "fusion.width"),
+                                    ({"consolidation": {"batch_size": True}},
+                                     "consolidation.batch_size"),
+                                    ({"seed": 1.5}, "seed")]):
+        mistyped = tmp_path / f"mistyped{i}.json"
+        mistyped.write_text(json.dumps(raw))
+        assert main(["train", "--cache", "none.mvcl", "--config", str(mistyped)]) == EXIT_CONFIG
+        assert f"error: {key} must be int" in capsys.readouterr().err
     # a header claiming 2**31 images of 2**16 x 2**16 pixels
     huge = struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**31, 2**16, 2**16)
     with open(os.path.join(src, "train-images-idx3-ubyte"), "wb") as f:

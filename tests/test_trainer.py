@@ -454,16 +454,63 @@ def test_eval_cache_keeps_no_batch_alive():
     del batch
     gc.collect()
     assert all(ref() is None for ref in refs)
-    # a batch the caller still holds is answered from the cache
+    # outside run() a batch the caller still holds is extracted afresh
     held = data.test[0]
     first = model.features_for_eval(held)
-    assert model.features_for_eval(held) is first
+    again = model.features_for_eval(held)
+    assert again is not first
+    assert np.array_equal(again, first)
+    assert model._eval_memo is None
+
+
+def test_batch_changed_in_place_predicts_as_its_fresh_copy():
+    data, protocol = tiny_data()
+    model = run(tiny_config(), data, protocol).model
+    src, other = data.test[0], data.test[-1]
+    batch = ViewBatch(src.class_id, src.view_id, src.inputs.copy(), src.labels.copy())
+    before = model.predict_labels(batch)
+    batch.inputs[...] = other.inputs
+    fresh = ViewBatch(other.class_id, other.view_id, other.inputs.copy(),
+                      other.labels.copy())
+    want = model.predict_labels(fresh)
+    # the two inputs must score differently, or the check shows nothing
+    assert not np.array_equal(want, before)
+    assert np.array_equal(model.predict_labels(batch), want)
+
+
+def test_loaded_model_holds_no_features_after_predicting(tmp_path):
+    data, protocol = tiny_data()
+    run(tiny_config(), data, protocol, out_dir=str(tmp_path))
+    model = Model.load_checkpoint(str(tmp_path / "checkpoint.mvcl"))
+    for batch in data.test:
+        model.predict_labels(batch)
+    assert model._eval_memo is None
+
+
+def test_run_extracts_once_per_session_and_test_batch(monkeypatch):
+    held = {1: frozenset({1})}
+    data, protocol = tiny_data(heldout=held)
+    extracted = []
+    real = Model.extract
+
+    def counting(self, batch):
+        extracted.append(batch)
+        return real(self, batch)
+
+    monkeypatch.setattr(Model, "extract", counting)
+    res = run(tiny_config(), data, protocol)
+    sessions = list(stream_sessions(protocol, data))
+    # every class boundary evaluates all of data.test, and the held-out
+    # views are scored once more after the stream, all from the memo
+    assert len(extracted) == len(sessions) + len(data.test)
+    assert {id(b) for b in extracted} == {id(b) for b in sessions + data.test}
+    assert "familiar_view_eval" in res.manifest
 
 
 def test_finished_run_keeps_no_test_features():
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
-    assert len(res.model._eval_cache) == 0
+    assert res.model._eval_memo is None
     # the model still predicts as it did for the final row
     final = evaluation.evaluate_classes(res.model, data.test, res.model.slot_to_class)
     assert final == list(res.matrix.R[-1])
