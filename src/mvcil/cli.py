@@ -26,7 +26,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-PROTOCOL_RE = re.compile(r"^(?P<kind>[ps])(?P<base>[a-z0-9]+)-(?P<c>\d+)x(?P<v>\d+)$")
+PROTOCOL_RE = re.compile(r"^(?P<kind>[ps])(?P<base>[a-z0-9]+)-(?P<c>[1-9]\d*)x(?P<v>[1-9]\d*)$")
 IDX_FILES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -34,6 +34,7 @@ IDX_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 MODE_ALIASES = {"net1": "net1_orth_only", "net2": "net2_orth_both", "full": "full"}
+REPORT_KEYS = ("protocol.name", "config.mode", "metrics.avg_acc", "metrics.bwt")
 BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -77,8 +78,6 @@ def build_config(config_path: str | None, overrides: list[str],
             raise ConfigError(f"{config_path!r} must contain a JSON object")
     flat = parse_overrides(overrides)
     if mode is not None:
-        if mode not in MODE_ALIASES and mode not in MODE_ALIASES.values():
-            raise ConfigError(f"unknown mode {mode!r}")
         flat["mode"] = MODE_ALIASES.get(mode, mode)
     if seed is not None:
         flat["seed"] = seed
@@ -128,8 +127,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             raise ConfigError(f"protocol {args.protocol!r} requires --source-dir")
         name = args.protocol
         num_classes, num_views = int(m.group("c")), int(m.group("v"))
-        if num_views < 1:
-            raise ConfigError("number of views must be >= 1")
         paths = {k: os.path.join(args.source_dir, v) for k, v in IDX_FILES.items()}
         for p in paths.values():
             if not os.path.exists(p):
@@ -206,39 +203,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report_fields(path: str) -> list:
+    """What `report` prints of a run manifest: protocol name, mode, avg_acc
+    and bwt, in that order."""
+    with open(path) as f:
+        manifest = json.load(f)
+    fields = []
+    for key in REPORT_KEYS:
+        value = manifest
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ConfigError(f"manifest {path!r} has no {key}")
+            value = value[part]
+        fields.append(value)
+    return fields
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = []
-    protocols = set()
-    for run_dir in args.runs:
-        manifest_path = os.path.join(run_dir, "manifest.json")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        protocols.add(manifest["protocol"]["name"])
-        rows.append(
-            {
-                "run": run_dir,
-                "protocol": manifest["protocol"]["name"],
-                "mode": manifest["config"]["mode"],
-                "seed": manifest["config"]["seed"],
-                "avg_acc": manifest["metrics"]["avg_acc"],
-                "bwt": manifest["metrics"]["bwt"],
-            }
-        )
+    rows = [_report_fields(os.path.join(run_dir, "manifest.json")) for run_dir in args.runs]
+    protocols = {protocol for protocol, *_ in rows}
     if len(protocols) > 1:
         raise ConfigError(
             f"refusing to aggregate mixed protocols: {sorted(protocols)}"
         )
-    groups: dict[str, list[dict]] = {}
-    for r in rows:
-        groups.setdefault(r["mode"], []).append(r)
+    groups: dict[str, list[tuple]] = {}
+    for _, mode, avg, bwt_value in rows:
+        groups.setdefault(mode, []).append((avg, bwt_value))
     header = f"{'mode':<16} {'runs':>4} {'avg_acc':>16} {'bwt':>16}"
     print(f"protocol: {protocols.pop()}")
     print(header)
     print("-" * len(header))
     csv_lines = ["mode,runs,avg_acc_mean,avg_acc_std,bwt_mean,bwt_std"]
     for mode in sorted(groups):
-        accs = np.array([r["avg_acc"] for r in groups[mode]])
-        bwts = [r["bwt"] for r in groups[mode] if r["bwt"] is not None]
+        accs = np.array([avg for avg, _ in groups[mode]])
+        bwts = [b for _, b in groups[mode] if b is not None]
         acc_m, acc_s = float(accs.mean()), float(accs.std())
         if bwts:
             bwt_m, bwt_s = float(np.mean(bwts)), float(np.std(bwts))

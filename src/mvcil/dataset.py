@@ -13,7 +13,7 @@ from __future__ import annotations
 import gzip
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -129,33 +129,36 @@ def make_protocol(
 
 @dataclass
 class SplitDataset:
-    """Train/test ViewBatch pools plus protocol-shape metadata."""
+    """Train/test ViewBatch pools plus protocol-shape metadata.
+
+    `input_dim` holds one width per view. An int (uniform widths, as older
+    caches store it) or a list is accepted and stored as that tuple.
+    """
 
     train: list[ViewBatch]
     test: list[ViewBatch]
     num_classes: int
     views_per_class: int
-    input_dim: int | tuple[int, ...]
+    input_dim: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = self.view_dims()
+        c, v = self.num_classes, self.views_per_class
+        if c < 1 or v < 1:
+            raise ValueError(f"need >= 1 classes and views, got C={c}, V={v}")
+        dims = self.input_dim
+        self.input_dim = tuple(dims) if np.ndim(dims) else (dims,) * v
+        if len(self.input_dim) != v:
+            raise ValueError("per-view input_dim tuple length must equal views_per_class")
         for batch in self.train + self.test:
-            if not 0 <= batch.class_id < self.num_classes:
+            if not 0 <= batch.class_id < c:
                 raise ValueError(f"batch class_id {batch.class_id} out of range")
-            if not 0 <= batch.view_id < self.views_per_class:
+            if not 0 <= batch.view_id < v:
                 raise ValueError(f"batch view_id {batch.view_id} out of range")
-            if batch.input_dim != dims[batch.view_id]:
+            if batch.input_dim != self.input_dim[batch.view_id]:
                 raise ValueError(
                     f"view {batch.view_id} batches disagree on input_dim: "
-                    f"{batch.input_dim} vs {dims[batch.view_id]}"
+                    f"{batch.input_dim} vs {self.input_dim[batch.view_id]}"
                 )
-
-    def view_dims(self) -> tuple[int, ...]:
-        if isinstance(self.input_dim, tuple):
-            if len(self.input_dim) != self.views_per_class:
-                raise ValueError("per-view input_dim tuple length must equal views_per_class")
-            return self.input_dim
-        return (self.input_dim,) * self.views_per_class
 
     def train_batch(self, class_id: int, view_id: int) -> ViewBatch:
         for b in self.train:
@@ -239,31 +242,40 @@ def split_by_class(
             if cap is not None:
                 idx = idx[:cap]
             out.append(ViewBatch(c, 0, pool_X[idx].copy(), np.full(idx.size, c, np.int64)))
-    dim = train[0].input_dim
-    return SplitDataset(train, test, num_classes, 1, dim)
+    return SplitDataset(train, test, num_classes, 1, train_X.shape[1])
+
+
+def _derive_views(
+    base: SplitDataset,
+    num_views: int,
+    view_inputs: Callable[[int, ViewBatch], np.ndarray],
+    dim: int,
+) -> SplitDataset:
+    """Views 0..num_views-1 of each batch of a single-view base, listed
+    batch-major; `view_inputs(v, batch)` gives view v's inputs, `dim` wide."""
+    if num_views < 1:
+        raise ValueError(f"num_views must be >= 1, got {num_views}")
+    if base.views_per_class != 1:
+        raise ValueError("derived views require a single-view base dataset")
+    train, test = (
+        [ViewBatch(b.class_id, v, view_inputs(v, b), b.labels)
+         for b in pool for v in range(num_views)]
+        for pool in (base.train, base.test)
+    )
+    return SplitDataset(train, test, base.num_classes, num_views, dim)
 
 
 def make_permuted_views(base: SplitDataset, num_views: int, seed: int) -> SplitDataset:
     """View 0 is the identity; views 1..V-1 apply distinct seeded pixel
     permutations, shared across classes and across train/test."""
-    if num_views < 1:
-        raise ValueError(f"num_views must be >= 1, got {num_views}")
     if num_views > MAX_PERMUTED_VIEWS:
         raise ValueError(f"num_views {num_views} exceeds cap {MAX_PERMUTED_VIEWS}")
-    if base.views_per_class != 1:
-        raise ValueError("permuted views require a single-view base dataset")
-    dim = base.view_dims()[0]
+    dim = base.input_dim[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3B]))
     perms = [rng.permutation(dim) for _ in range(num_views - 1)]
-    train, test = [], []
-    for pool, out in ((base.train, train), (base.test, test)):
-        for batch in pool:
-            out.append(ViewBatch(batch.class_id, 0, batch.inputs, batch.labels))
-            for v, perm in enumerate(perms, start=1):
-                out.append(
-                    ViewBatch(batch.class_id, v, batch.inputs[:, perm], batch.labels)
-                )
-    return SplitDataset(train, test, base.num_classes, num_views, dim)
+    return _derive_views(
+        base, num_views, lambda v, b: b.inputs[:, perms[v - 1]] if v else b.inputs, dim
+    )
 
 
 def make_synthesized_views(
@@ -274,22 +286,16 @@ def make_synthesized_views(
 ) -> SplitDataset:
     """Each view is the view-optimal feature output of an independently seeded
     random encoder + sparse decoder fit over the raw inputs; dim n*L."""
-    if num_views < 1:
-        raise ValueError(f"num_views must be >= 1, got {num_views}")
-    if base.views_per_class != 1:
-        raise ValueError("synthesized views require a single-view base dataset")
-    dim = base.view_dims()[0]
-    train, test = [], []
-    for v in range(num_views):
-        enc = encoder_config.make_encoder(
-            dim, seed=int(derive_seed(seed, 0x53, v).generate_state(1)[0])
+    encoders = [
+        encoder_config.make_encoder(
+            base.input_dim[0], seed=int(derive_seed(seed, 0x53, v).generate_state(1)[0])
         )
-        for pool, out in ((base.train, train), (base.test, test)):
-            for batch in pool:
-                feat = extract_view_feature(enc, batch, encoder_config)
-                out.append(ViewBatch(batch.class_id, v, feat.features, batch.labels))
-    return SplitDataset(
-        train, test, base.num_classes, num_views, encoder_config.n * encoder_config.L
+        for v in range(num_views)
+    ]
+    return _derive_views(
+        base, num_views,
+        lambda v, b: extract_view_feature(encoders[v], b, encoder_config).features,
+        encoder_config.n * encoder_config.L,
     )
 
 
@@ -316,10 +322,9 @@ def load_feature_views(
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     labels_raw = _load_table(labels_path)
-    if labels_raw.ndim == 2:
-        if labels_raw.shape[1] != 1:
-            raise FeatureTableError(f"labels file {labels_path!r} must have one column")
-        labels_raw = labels_raw[:, 0]
+    if labels_raw.shape[1] != 1:
+        raise FeatureTableError(f"labels file {labels_path!r} must have one column")
+    labels_raw = labels_raw[:, 0]
     uniq = np.unique(labels_raw)
     label_of = {val: i for i, val in enumerate(uniq.tolist())}
     labels = np.array([label_of[v] for v in labels_raw.tolist()], dtype=np.int64)
@@ -328,8 +333,6 @@ def load_feature_views(
     views = []
     for p in paths:
         table = _load_table(p)
-        if table.ndim != 2:
-            table = table.reshape(len(table), 1)
         if table.shape[0] != labels.shape[0]:
             raise FeatureTableError(
                 f"{p!r} has {table.shape[0]} rows but labels file has {labels.shape[0]}"
@@ -351,9 +354,7 @@ def load_feature_views(
                                    np.full(n_train, c, np.int64)))
             test.append(ViewBatch(c, v, table[idx[n_train:]].copy(),
                                   np.full(idx.size - n_train, c, np.int64)))
-    dims = tuple(t.shape[1] for t in views)
-    dim: int | tuple[int, ...] = dims[0] if len(set(dims)) == 1 else dims
-    return SplitDataset(train, test, num_classes, len(views), dim)
+    return SplitDataset(train, test, num_classes, len(views), tuple(t.shape[1] for t in views))
 
 
 def _load_table(path: str) -> np.ndarray:
@@ -373,20 +374,14 @@ def _load_table(path: str) -> np.ndarray:
             raise FeatureTableError(
                 f"{path!r} row {i}: expected {width} columns, got {len(cells)}"
             )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            bad = next(j for j, c in enumerate(cells) if not _is_float(c))
-            raise FeatureTableError(f"{path!r} row {i}, column {bad}: not numeric") from exc
+        row = []
+        for j, cell in enumerate(cells):
+            try:
+                row.append(float(cell))
+            except ValueError as exc:
+                raise FeatureTableError(f"{path!r} row {i}, column {j}: not numeric") from exc
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def zscore_views(data: SplitDataset, eps: float = 1e-8) -> SplitDataset:
@@ -430,9 +425,7 @@ def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = 
         "kind": "split_dataset",
         "num_classes": data.num_classes,
         "views_per_class": data.views_per_class,
-        "input_dim": list(data.input_dim) if isinstance(data.input_dim, tuple)
-        else data.input_dim,
-        "counts": {"train": len(data.train), "test": len(data.test)},
+        "input_dim": list(data.input_dim),
         "batches": {
             split: [[b.class_id, b.view_id] for b in pool]
             for split, pool in (("train", data.train), ("test", data.test))
@@ -460,11 +453,8 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
                     ViewBatch(cid, vid, arrays[f"{split}/{i}/inputs"],
                               arrays[f"{split}/{i}/labels"])
                 )
-        dim = header["input_dim"]
-        if isinstance(dim, list):
-            dim = tuple(dim)
         data = SplitDataset(pools["train"], pools["test"], header["num_classes"],
-                            header["views_per_class"], dim)
+                            header["views_per_class"], header["input_dim"])
     except KeyError as exc:
         raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
     protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None

@@ -8,7 +8,15 @@ import struct
 import numpy as np
 import pytest
 
-from mvcil.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main, parse_overrides
+from mvcil.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_config,
+    main,
+    parse_overrides,
+)
 from mvcil.container import MAGIC, VERSION, read_container, write_container
 from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
@@ -133,7 +141,16 @@ def test_prepare_synthesized_protocol(tmp_path, capsys):
     capsys.readouterr()
     data, protocol, _ = load_split(cache)
     assert protocol.name == "smnist-3x2"
-    assert data.input_dim == 2 * 3  # n * L from the encoder overrides
+    assert data.input_dim == (6, 6)  # n * L from the encoder overrides
+
+
+def test_prepare_caps_samples_per_class(tmp_path, capsys):
+    cache = prepare_cache(tmp_path, extra=["--max-train-per-class", "2",
+                                           "--max-test-per-class", "1"])
+    capsys.readouterr()
+    data, _, _ = load_split(cache)
+    assert {b.num_samples for b in data.train} == {2}
+    assert {b.num_samples for b in data.test} == {1}
 
 
 def test_prepare_feature_tables(tmp_path, capsys):
@@ -191,6 +208,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cases = [
         ["prepare", "--protocol", "p-3x2", "--source-dir", src],
         ["prepare", "--protocol", "xmnist-3x2", "--source-dir", src],
+        ["prepare", "--protocol", "pmnist-0x2", "--source-dir", src],
+        ["prepare", "--protocol", "pmnist-3x0", "--source-dir", src],
         ["prepare", "--protocol", "pmnist-3x2"],
         ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
          "--set", "nope=1"],
@@ -328,6 +347,27 @@ def test_report_aggregates_runs(tmp_path, capsys):
     assert "net1_orth_only,1,0.200000,0.000000,," in lines
 
 
+def test_report_reads_only_what_it_prints(tmp_path, capsys):
+    def write(name, manifest):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        return str(run_dir)
+
+    seedless = write("seedless", {"protocol": {"name": "pmnist-3x2"},
+                                  "config": {"mode": "full"},
+                                  "metrics": {"avg_acc": 0.5, "bwt": None}})
+    assert main(["report", seedless]) == EXIT_OK
+    assert "full" in capsys.readouterr().out
+    no_metrics = write("no_metrics", {"protocol": {"name": "pmnist-3x2"},
+                                      "config": {"mode": "full", "seed": 0}})
+    as_list = write("as_list", [1, 2])
+    for run_dir, key in ((no_metrics, "metrics.avg_acc"), (as_list, "protocol.name")):
+        assert main(["report", run_dir]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert os.path.join(run_dir, "manifest.json") in err and key in err
+
+
 def test_report_refuses_mixed_protocols(tmp_path, capsys):
     runs = []
     for i, name in enumerate(["pmnist-3x2", "smnist-3x2"]):
@@ -362,6 +402,12 @@ def test_parse_overrides_types():
         parse_overrides(["consolidation.train_head_bias=false"])  # retired
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_overrides(["fusion.projector_enabled=maybe"])
+
+
+def test_build_config_checks_mode_with_the_config():
+    assert build_config(None, [], mode="net1").mode == "net1_orth_only"
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        build_config(None, [], mode="bogus")
 
 
 def test_config_file_plus_overrides(tmp_path, capsys):

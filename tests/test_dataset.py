@@ -113,6 +113,13 @@ def test_split_dataset_validates_batches():
                      [], 1, 1, 3)
     with pytest.raises(ValueError, match="tuple length"):
         SplitDataset([good], [], 1, 1, (3, 4))
+    with pytest.raises(ValueError, match=">= 1 classes"):
+        SplitDataset([], [], 0, 1, 3)
+    with pytest.raises(ValueError, match=">= 1 classes"):
+        SplitDataset([], [], 1, 0, 3)
+    # an int or a list stands for the per-view tuple
+    assert SplitDataset([good], [], 1, 2, 3).input_dim == (3, 3)
+    assert SplitDataset([good], [], 1, 2, [3, 5]).input_dim == (3, 5)
 
 
 def test_train_batch_lookup():
@@ -216,6 +223,8 @@ def test_split_by_class_missing_class():
     y = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="class 2 has no samples"):
         split_by_class(X, y, X, y, 3)
+    with pytest.raises(ValueError, match=">= 1 classes"):
+        split_by_class(X, y, X, y, 0)
 
 
 def test_permuted_views_identity_and_shared_perms():
@@ -267,7 +276,7 @@ def test_synthesized_views_shapes_and_determinism():
     data = make_synthesized_views(base, 2, cfg, seed=11)
     again = make_synthesized_views(base, 2, cfg, seed=11)
     assert data.views_per_class == 2
-    assert data.input_dim == cfg.n * cfg.L
+    assert data.input_dim == (cfg.n * cfg.L,) * 2
     assert len(data.train) == 2 and len(data.test) == 2
     v0 = data.train_batch(0, 0)
     v1 = data.train_batch(0, 1)
@@ -277,6 +286,8 @@ def test_synthesized_views_shapes_and_determinism():
     assert np.array_equal(v0.inputs, again.train_batch(0, 0).inputs)
     with pytest.raises(ValueError, match="single-view base"):
         make_synthesized_views(data, 2, cfg, seed=0)
+    with pytest.raises(ValueError, match=">= 1"):
+        make_synthesized_views(base, 0, cfg, seed=0)
 
 
 def test_feature_tables_round_trip_and_remap(tmp_path):
@@ -289,7 +300,7 @@ def test_feature_tables_round_trip_and_remap(tmp_path):
     )
     assert data.num_classes == 2
     assert data.views_per_class == 2
-    assert data.input_dim == 2
+    assert data.input_dim == (2, 2)
     # labels 3 and 7 remap to 0 and 1 by sorted value; class 0 owns rows 1, 3
     got = np.concatenate([data.train_batch(0, 0).inputs,
                           [b for b in data.test if b.class_id == 0][0].inputs])
@@ -312,7 +323,6 @@ def test_feature_tables_heterogeneous_dims(tmp_path):
         str(tmp_path / "y.txt"), train_fraction=0.5, seed=0,
     )
     assert data.input_dim == (2, 3)
-    assert data.view_dims() == (2, 3)
     assert data.train_batch(0, 1).input_dim == 3
 
 
@@ -407,7 +417,7 @@ def test_save_load_round_trip(tmp_path):
     assert header["protocol"] == proto.to_dict()
     assert loaded.num_classes == 2
     assert loaded.views_per_class == 2
-    assert loaded.input_dim == 5
+    assert loaded.input_dim == (5, 5)
     for a, b in zip(loaded.train + loaded.test, data.train + data.test):
         assert (a.class_id, a.view_id) == (b.class_id, b.view_id)
         assert np.array_equal(a.inputs, b.inputs)
@@ -432,6 +442,22 @@ def test_save_load_keeps_per_view_dims(tmp_path):
     loaded, lproto, _ = load_split(path)
     assert lproto is None
     assert loaded.input_dim == (3, 4)
+
+
+def test_load_split_reads_int_input_dim_header(tmp_path):
+    # older caches store input_dim as one int and carry a "counts" entry
+    data = make_permuted_views(toy_base(num_classes=2, dim=5), 3, seed=1)
+    path = str(tmp_path / "old.mvcl")
+    save_split(path, data)
+    header, arrays = container.read_container(path)
+    assert header["input_dim"] == [5, 5, 5]
+    header.update(input_dim=5, counts={"train": 6, "test": 6})
+    container.write_container(path, header, arrays)
+    loaded, _, _ = load_split(path)
+    assert loaded.input_dim == (5, 5, 5)
+    for a, b in zip(loaded.train + loaded.test, data.train + data.test):
+        assert (a.class_id, a.view_id) == (b.class_id, b.view_id)
+        assert np.array_equal(a.inputs, b.inputs)
 
 
 def test_load_split_rejects_other_containers(tmp_path):
