@@ -216,6 +216,10 @@ def _report_fields(path: str) -> list:
                 raise ConfigError(f"manifest {path!r} has no {key}")
             value = value[part]
         fields.append(value)
+    for key, value in zip(REPORT_KEYS[2:], fields[2:]):
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not numeric and not (key == "metrics.bwt" and value is None):
+            raise ConfigError(f"manifest {path!r} has a non-numeric {key}: {value!r}")
     return fields
 
 

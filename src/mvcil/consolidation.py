@@ -78,21 +78,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def expand_head(head: DecisionHead, new_class_id: int) -> DecisionHead:
+def expand_head(head: DecisionHead) -> None:
     """Add one zero-initialized output column for the next class slot.
 
     Old columns, the anchor, and old fisher_sum entries are untouched, so
     logits of previously seen classes are unchanged afterwards.
     """
-    if new_class_id != head.classes_seen:
-        raise ValueError(
-            f"out-of-order class id {new_class_id}; expected {head.classes_seen}"
-        )
     h = head.hidden_dim
     head.weights = np.hstack([head.weights, np.zeros((h, 1))])
     head.bias = np.append(head.bias, 0.0)
     head.fisher_sum = np.hstack([head.fisher_sum, np.zeros((h, 1))])
-    return head
 
 
 def fisher_diag(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> FisherEstimate:
@@ -105,8 +100,7 @@ def fisher_diag(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> Fisher
     labels = np.asarray(labels)
     if H.shape[0] == 0:
         raise ValueError("Fisher estimate needs a nonempty batch")
-    probs = softmax(head.logits(H))
-    delta = probs.copy()
+    delta = softmax(head.logits(H))
     delta[np.arange(H.shape[0]), labels] -= 1.0
     diag = (H * H).T @ (delta * delta) / H.shape[0]
     return FisherEstimate(diag=diag, sample_count=H.shape[0])
@@ -130,10 +124,10 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
             f"labels must lie in [0, {head.classes_seen}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    probs = softmax(head.logits(H))
+    # the softmax, turned in place into the CE gradient wrt the logits
+    delta = softmax(head.logits(H))
     eps = 1e-300  # guards log(0) for a fully confident wrong prediction
-    ce = -float(np.mean(np.log(probs[np.arange(n), labels] + eps)))
-    delta = probs
+    ce = -float(np.mean(np.log(delta[np.arange(n), labels] + eps)))
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad_w = H.T @ delta
@@ -146,12 +140,11 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
         drift = head.weights[:, :c_anchor] - head.anchor
         fsum = head.fisher_sum[:, :c_anchor]
         loss = ce + 0.5 * head.mu * float(np.sum(fsum * drift * drift))
-        grad_w = grad_w.copy()
         grad_w[:, :c_anchor] += head.mu * fsum * drift
     return HeadGradients(loss=loss, grad_w=grad_w, grad_b=grad_b, grad_hidden=grad_hidden)
 
 
-def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> DecisionHead:
+def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> None:
     """Fold the class's Fisher into the running sum and re-center the anchor."""
     if head.classes_consolidated >= head.classes_seen:
         raise ValueError(
@@ -163,4 +156,3 @@ def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> DecisionHead:
         )
     head.fisher_sum = head.fisher_sum + fisher.diag
     head.anchor = head.weights.copy()
-    return head

@@ -230,6 +230,10 @@ def split_by_class(
     Optional per-class caps take the first samples in file order (used by the
     reduced-data mode).
     """
+    for name, cap in (("max_train_per_class", max_train_per_class),
+                      ("max_test_per_class", max_test_per_class)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be >= 1, got {cap}")
     train, test = [], []
     for c in range(num_classes):
         for pool_X, pool_y, out, cap in (

@@ -130,9 +130,22 @@ def parse_report(path: str) -> AccuracyMatrix:
         rows = list(csv.reader(f))
     if not rows or not rows[0] or not rows[0][0].startswith("# schema_version="):
         raise ValueError(f"{path!r}: missing schema header")
-    if rows[1] != list(REPORT_COLUMNS):
-        raise ValueError(f"{path!r}: unexpected columns {rows[1]}")
-    cells = [(int(r[0]), int(r[1]), float(r[2]), int(r[3])) for r in rows[2:] if r]
+    columns = rows[1] if len(rows) > 1 else None
+    if columns != list(REPORT_COLUMNS):
+        raise ValueError(f"{path!r}: unexpected columns {columns}")
+    cells = []
+    for line, row in enumerate(rows[2:], start=3):
+        if not row:
+            continue
+        try:
+            after, c, acc, n = row
+            after, c, acc, n = int(after), int(c), float(acc), int(n)
+        except ValueError as exc:
+            raise ValueError(f"{path!r} line {line}: bad row {row}: {exc}") from exc
+        if not 0 <= c <= after:
+            raise ValueError(f"{path!r} line {line}: row {row} is not a cell on or "
+                             "below the diagonal")
+        cells.append((after, c, acc, n))
     if not cells:
         raise ValueError(f"{path!r}: report has no cells")
     num_classes = max(after for after, *_ in cells) + 1

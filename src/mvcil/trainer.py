@@ -18,6 +18,7 @@ Modes:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
@@ -203,39 +204,33 @@ class Model:
     # ---- inference (task-id-free: consumes only the inputs) -----------
 
     def predict_labels(self, batch: ViewBatch) -> np.ndarray:
-        feats = self.features_for_eval(batch)
-        logits = self.head.logits(self.fusion.forward(feats))
-        slots_by_class = np.argsort(np.asarray(self.slot_to_class, dtype=np.int64),
-                                    kind="stable")
+        logits = self.head.logits(self.fusion.forward(self.features_for_eval(batch)))
         # columns reordered by ascending class id, so argmax's first-match
         # rule breaks ties toward the lowest class id
-        ordered = logits[:, slots_by_class]
-        pick = np.argmax(ordered, axis=1)
+        slots_by_class = np.argsort(self.slot_to_class)
         class_ids = np.asarray(self.slot_to_class, dtype=np.int64)[slots_by_class]
-        return class_ids[pick]
+        return class_ids[np.argmax(logits[:, slots_by_class], axis=1)]
 
     # ---- training -----------------------------------------------------
 
     def train_session(self, batch: ViewBatch) -> None:
         cfg = self.config
         cid = batch.class_id
-        if cid in self.slot_to_class:
-            if cid != self.slot_to_class[-1]:
-                raise ValueError(
-                    f"out-of-order session: class {cid} reappeared after "
-                    f"class {self.slot_to_class[-1]}"
-                )
-            imprint_slot = None
-        else:
-            if self.slot_to_class:
-                self._finish_class()
-            slot = self.head.classes_seen
-            expand_head(self.head, slot)
+        new_class = cid not in self.slot_to_class
+        if not new_class and cid != self.slot_to_class[-1]:
+            raise ValueError(
+                f"out-of-order session: class {cid} reappeared after "
+                f"class {self.slot_to_class[-1]}"
+            )
+        if new_class:
+            self._finish_class()
+            expand_head(self.head)
             self.slot_to_class.append(cid)
-            imprint_slot = slot
+        # an earlier class never returns, so the session trains the newest slot
+        slot = len(self.slot_to_class) - 1
 
         feats = self.extract(batch)
-        if imprint_slot is not None:
+        if new_class:
             # seed the fresh column with the class's mean hidden direction,
             # scaled so its mean logit starts near imprint_scale. A zero
             # column never trains when the class arrives alone (single-class
@@ -244,11 +239,8 @@ class Model:
             m = self.fusion.forward(feats).mean(axis=0)
             energy = float(m @ m)
             if energy > 0.0:
-                self.head.weights[:, imprint_slot] = (
-                    m * (cfg.consolidation.imprint_scale / energy)
-                )
-        slot_labels = np.full(batch.num_samples, self.slot_to_class.index(cid),
-                              dtype=np.int64)
+                self.head.weights[:, slot] = m * (cfg.consolidation.imprint_scale / energy)
+        slot_labels = np.full(batch.num_samples, slot, dtype=np.int64)
         self._supervised_loop(feats, slot_labels)
 
         # protect what was just learned: absorb after the gradient steps
@@ -272,47 +264,38 @@ class Model:
         self.session_index += 1
 
     def _supervised_loop(self, feats: np.ndarray, slot_labels: np.ndarray) -> None:
-        cfg = self.config
+        cfg = self.config.consolidation
         n = feats.shape[0]
-        bs = min(cfg.consolidation.batch_size, n)
+        bs = min(cfg.batch_size, n)
         rng = np.random.default_rng(
-            derive_seed(cfg.seed, 0xB5, self.session_index)
+            derive_seed(self.config.seed, 0xB5, self.session_index)
         )
-        head_lr = cfg.consolidation.head_lr
-        # fixed per-session work budget: without it the step count (and with
-        # it the unprotected new column's logit climb) scales with dataset
-        # size, and larger streams forget catastrophically at settings that
-        # are stable on small ones
-        budget = cfg.consolidation.max_steps_per_session
         # P is fixed within a session (absorb runs after this loop) and
         # symmetric, so P @ (x.T @ da) == (x @ P).T @ da: project the inputs
         # once here instead of the gradient at every step. With the projector
         # disabled P stays the identity and feats_p equals feats.
         feats_p = feats @ self.fusion.projector.P
-        steps = 0
-        for _ in range(cfg.consolidation.epochs_per_session):
-            if steps >= budget:
-                break
-            perm = rng.permutation(n)
-            for start in range(0, n, bs):
-                if steps >= budget:
-                    break
-                steps += 1
-                idx = perm[start : start + bs]
-                x = feats[idx]
-                h, dact = self.fusion.forward_with_grad(x)
-                grads = swc_loss_and_grad(self.head, h, slot_labels[idx])
-                if not np.isfinite(grads.loss):
-                    raise FloatingPointError(
-                        f"non-finite loss at session {self.session_index}"
-                    )
-                if self.head_projector is not None:
-                    step_w = self.head_projector.P @ grads.grad_w
-                else:
-                    step_w = grads.grad_w
-                self.head.weights = self.head.weights - head_lr * step_w
-                da = grads.grad_hidden * dact
-                self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
+        # one lazy step plan: each epoch's permutation is drawn only when the
+        # plan reaches it. The plan is cut at a fixed per-session work budget:
+        # without it the step count (and with it the unprotected new column's
+        # logit climb) scales with dataset size, and larger streams forget
+        # catastrophically at settings that are stable on small ones
+        perms = (rng.permutation(n) for _ in range(cfg.epochs_per_session))
+        batches = (perm[s : s + bs] for perm in perms for s in range(0, n, bs))
+        for idx in itertools.islice(batches, cfg.max_steps_per_session):
+            h, dact = self.fusion.forward_with_grad(feats[idx])
+            grads = swc_loss_and_grad(self.head, h, slot_labels[idx])
+            if not np.isfinite(grads.loss):
+                raise FloatingPointError(
+                    f"non-finite loss at session {self.session_index}"
+                )
+            if self.head_projector is not None:
+                step_w = self.head_projector.P @ grads.grad_w
+            else:
+                step_w = grads.grad_w
+            self.head.weights = self.head.weights - cfg.head_lr * step_w
+            da = grads.grad_hidden * dact
+            self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
 
     def _finish_class(self) -> None:
         if self.head.mu > 0 and self._pending_fisher is not None:
@@ -412,12 +395,11 @@ def run(
 
     model._eval_memo = {}
     try:
-        for i, batch in enumerate(sessions):
-            start = time.perf_counter()
-            model.train_session(batch)
-            timings.append(time.perf_counter() - start)
-            if i + 1 < len(sessions) and sessions[i + 1].class_id == batch.class_id:
-                continue
+        for _, group in itertools.groupby(sessions, key=lambda b: b.class_id):
+            for batch in group:
+                start = time.perf_counter()
+                model.train_session(batch)
+                timings.append(time.perf_counter() - start)
             row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
             for slot, acc in enumerate(row):
                 if np.isnan(acc):

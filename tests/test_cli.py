@@ -220,6 +220,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["prepare", "--protocol", "t", "--features", "f.csv"],
         ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
          "--heldout", "0-1"],
+        ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
+         "--max-train-per-class", "-1"],
         ["train", "--cache", "none.mvcl", "--config", str(retired)],
         ["train", "--cache", "none.mvcl", "--set", "consolidation.head_lr=0"],
         # NaN passes every bound check and would silently switch the penalty off
@@ -292,6 +294,18 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_eval_with_malformed_report_exits_2(tmp_path, capsys):
+    cache = prepare_cache(tmp_path)
+    run_dir = str(tmp_path / "run1")
+    main(["train", "--cache", cache, "--out", run_dir, *sets()])
+    report = os.path.join(run_dir, "report.csv")
+    with open(report, "a") as f:
+        f.write("2,1\r\n")
+    capsys.readouterr()
+    assert main(["eval", "--run", run_dir, "--cache", cache]) == EXIT_CONFIG
+    assert report in capsys.readouterr().err
+
+
 def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):
     cache = prepare_cache(tmp_path)
     capsys.readouterr()
@@ -362,9 +376,18 @@ def test_report_reads_only_what_it_prints(tmp_path, capsys):
     no_metrics = write("no_metrics", {"protocol": {"name": "pmnist-3x2"},
                                       "config": {"mode": "full", "seed": 0}})
     as_list = write("as_list", [1, 2])
-    for run_dir, key in ((no_metrics, "metrics.avg_acc"), (as_list, "protocol.name")):
+    cases = [(no_metrics, "metrics.avg_acc"), (as_list, "protocol.name")]
+    for i, (metrics, key) in enumerate([({"avg_acc": "x", "bwt": None}, "metrics.avg_acc"),
+                                        ({"avg_acc": True, "bwt": None}, "metrics.avg_acc"),
+                                        ({"avg_acc": 0.5, "bwt": "y"}, "metrics.bwt")]):
+        cases.append((write(f"bad{i}", {"protocol": {"name": "pmnist-3x2"},
+                                        "config": {"mode": "full"}, "metrics": metrics}),
+                      key))
+    for run_dir, key in cases:
+        # refused before the table header is printed
         assert main(["report", run_dir]) == EXIT_CONFIG
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert os.path.join(run_dir, "manifest.json") in err and key in err
 
 

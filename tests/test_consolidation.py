@@ -14,8 +14,8 @@ from mvcil.consolidation import (
 
 def make_head(hidden_dim, n_classes, mu=0.0, seed=0):
     head = DecisionHead(hidden_dim, mu=mu)
-    for c in range(n_classes):
-        expand_head(head, c)
+    for _ in range(n_classes):
+        expand_head(head)
     rng = np.random.default_rng(seed)
     head.weights = rng.standard_normal((hidden_dim, n_classes)) * 0.3
     head.bias = rng.standard_normal(n_classes) * 0.1
@@ -24,15 +24,15 @@ def make_head(hidden_dim, n_classes, mu=0.0, seed=0):
 
 def test_untrained_two_class_head_is_uniform():
     head = DecisionHead(4, mu=0.0)
-    expand_head(head, 0)
-    expand_head(head, 1)
+    expand_head(head)
+    expand_head(head)
     probs = softmax(head.logits(np.ones((3, 4))))
     assert np.allclose(probs, 0.5)
 
 
 def test_single_class_softmax_is_degenerate():
     head = DecisionHead(5, mu=1000.0)
-    expand_head(head, 0)
+    expand_head(head)
     H = np.random.default_rng(0).standard_normal((7, 5))
     probs = softmax(head.logits(H))
     assert np.allclose(probs, 1.0)
@@ -54,8 +54,8 @@ def test_hand_fisher_quarter():
     # zero 2-class head, unit hidden, one sample: p = [.5, .5],
     # delta = [-.5, .5], fisher per weight = (1^2) * (0.5^2) = 0.25
     head = DecisionHead(3, mu=0.0)
-    expand_head(head, 0)
-    expand_head(head, 1)
+    expand_head(head)
+    expand_head(head)
     est = fisher_diag(head, np.ones((1, 3)), np.array([0]))
     assert est.sample_count == 1
     assert np.allclose(est.diag, 0.25)
@@ -160,15 +160,11 @@ def test_label_range_validation(rng):
 
 def test_expand_head_contract():
     head = DecisionHead(4, mu=1.0)
-    expand_head(head, 0)
-    with pytest.raises(ValueError):
-        expand_head(head, 0)  # already seen
-    with pytest.raises(ValueError):
-        expand_head(head, 2)  # skips a slot
+    expand_head(head)
     head.weights[:, 0] = 1.5
     H = np.random.default_rng(1).standard_normal((3, 4))
     z_before = head.logits(H)[:, :1].copy()
-    expand_head(head, 1)
+    expand_head(head)
     z_after = head.logits(H)
     # identical up to matmul summation order
     assert np.allclose(z_after[:, :1], z_before, rtol=0, atol=1e-14)
@@ -184,7 +180,7 @@ def test_end_of_class_accumulates_and_recenters(rng):
     assert np.allclose(head.fisher_sum, est1.diag)
     with pytest.raises(ValueError):
         end_of_class(head, est1)  # no new class since
-    expand_head(head, 2)
+    expand_head(head)
     head.weights[:, 2] = 0.7
     est2 = fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
     end_of_class(head, est2)
@@ -207,6 +203,6 @@ def test_head_validation():
     head = DecisionHead(3)
     with pytest.raises(ValueError):
         head.logits(np.zeros((2, 3)))  # no classes yet
-    expand_head(head, 0)
+    expand_head(head)
     with pytest.raises(ValueError):
         head.logits(np.zeros((2, 4)))  # wrong width

@@ -218,6 +218,15 @@ def test_split_by_class_caps_take_first_in_file_order():
     assert uncapped.train_batch(0, 0).num_samples == 5
 
 
+def test_split_by_class_refuses_caps_below_one():
+    X = np.zeros((8, 2))
+    y = np.array([0, 1] * 4)
+    for key in ("max_train_per_class", "max_test_per_class"):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match=f"{key} must be >= 1, got {cap}"):
+                split_by_class(X, y, X, y, 2, **{key: cap})
+
+
 def test_split_by_class_missing_class():
     X = np.zeros((4, 2))
     y = np.array([0, 1, 0, 1])

@@ -185,4 +185,17 @@ def test_parse_report_errors(tmp_path):
     empty.write_text("# schema_version=1\r\nafter_class,class,accuracy,n_samples\r\n")
     with pytest.raises(ValueError, match="no cells"):
         parse_report(str(empty))
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("# schema_version=1\r\n")
+    with pytest.raises(ValueError, match="unexpected columns"):
+        parse_report(str(header_only))
+    # short and long rows, and a negative class that would index the last column
+    for name, row, why in (("short", "2,1", "bad row"), ("long", "1,0,0.5,3,9", "bad row"),
+                           ("negative", "1,-1,0.5,3", "below the diagonal")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"# schema_version=1\r\nafter_class,class,accuracy,n_samples\r\n"
+                        f"0,0,1.0,4\r\n{row}\r\n")
+        with pytest.raises(ValueError, match=why) as err:
+            parse_report(str(path))
+        assert str(path) in str(err.value) and "line 4" in str(err.value)
 

@@ -278,14 +278,16 @@ def per_step_projection_loop(model, feats, slot_labels, project):
     return steps
 
 
-def two_sessions_then_third(fusion):
+def two_sessions_then_third(fusion, max_steps_per_session=7):
     """A model after sessions (0, 0) and (1, 0), plus the features and slot
-    labels of session (1, 1)."""
+    labels of session (1, 1). Each session has 10 samples, batch 4 and 3
+    epochs: 9 steps unless the budget binds first."""
     data, _ = tiny_data(num_classes=2, views=2)
     model = Model(tiny_config(
         fusion=fusion,
         consolidation=ConsolidationConfig(epochs_per_session=3, batch_size=4,
-                                          max_steps_per_session=7, head_lr=3e-3),
+                                          max_steps_per_session=max_steps_per_session,
+                                          head_lr=3e-3),
     ))
     model.train_session(data.train_batch(0, 0))
     model.train_session(data.train_batch(1, 0))
@@ -293,13 +295,15 @@ def two_sessions_then_third(fusion):
     return model, model.extract(batch), np.full(batch.num_samples, 1, np.int64)
 
 
-def test_session_projection_matches_per_step_projection():
-    model, feats, labels = two_sessions_then_third(FusionConfig(width=8))
+# the budget binds at 7 steps; at 20 the epochs run out first, after 9
+@pytest.mark.parametrize("max_steps, steps", [(7, 7), (20, 9)])
+def test_session_projection_matches_per_step_projection(max_steps, steps):
+    model, feats, labels = two_sessions_then_third(FusionConfig(width=8), max_steps)
     assert not np.allclose(model.fusion.projector.P, np.eye(6))
     ref = copy.deepcopy(model)
     W0 = model.fusion.weights.copy()
     model._supervised_loop(feats, labels)
-    assert per_step_projection_loop(ref, feats, labels, project=True) == 7
+    assert per_step_projection_loop(ref, feats, labels, project=True) == steps
     assert not np.allclose(model.fusion.weights, W0)
     for got, want in ((model.fusion.weights, ref.fusion.weights),
                       (model.fusion.bias, ref.fusion.bias),
@@ -422,6 +426,16 @@ def test_run_writes_report_checkpoint_manifest(tmp_path):
     assert manifest["state_size_bytes"] == res.model.state_size_bytes()
     assert RunConfig.from_dict(manifest["config"]) == tiny_config()
     assert StreamProtocol.from_dict(manifest["protocol"]) == protocol
+
+
+def test_run_missing_a_training_batch_fails_before_writing(tmp_path):
+    data, protocol = tiny_data()
+    gappy = SplitDataset(data.train[:-1], data.test, data.num_classes,
+                         data.views_per_class, data.input_dim)
+    out = tmp_path / "out"
+    with pytest.raises(KeyError, match="class 2, view 1"):
+        run(tiny_config(), gappy, protocol, out_dir=str(out))
+    assert not out.exists()
 
 
 def test_failed_manifest_write_keeps_the_previous_one(tmp_path, monkeypatch):
