@@ -36,7 +36,6 @@ from .sparse_features import (
     ViewFeature,
     extract_view_feature,
     fista_fit,
-    soft_threshold,
 )
 from .trainer import (
     ConfigError,
@@ -81,7 +80,6 @@ __all__ = [
     "make_protocol",
     "make_synthesized_views",
     "run",
-    "soft_threshold",
     "split_by_class",
     "stream_sessions",
     "swc_loss_and_grad",

@@ -28,8 +28,9 @@ class AccuracyMatrix:
         self.n_samples = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def set_cell(self, after: int, cls: int, accuracy: float, n_samples: int = 0) -> None:
-        if cls > after:
-            raise ValueError(f"cell ({after}, {cls}) is above the diagonal")
+        if not 0 <= cls <= after < self.num_classes:
+            raise ValueError(f"cell ({after}, {cls}) is above the diagonal or outside "
+                             f"the {self.num_classes} x {self.num_classes} matrix")
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy {accuracy} outside [0, 1]")
         self.R[after, cls] = accuracy

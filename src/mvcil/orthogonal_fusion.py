@@ -33,7 +33,11 @@ class Projector:
             P <- P - P Zb^T (alpha I_k + Zb P Zb^T)^-1 Zb P,
         equals absorbing the rows one at a time by the rank-1 rule
         P <- P - (P z z^T P)/(alpha + z^T P z); no past features are stored.
+        With the Cholesky factor gram = C C^T and M = C^-1 Zb P it is
+        P <- P - M^T M, which matmul forms exactly symmetric, and so is P.
         """
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 1:
             z = z[None, :]
@@ -47,11 +51,13 @@ class Projector:
             gram = self.alpha * np.eye(zb.shape[0]) + kb @ zb.T
             if not np.all(np.isfinite(gram)) or np.any(np.diag(gram) <= 0):
                 raise FloatingPointError("degenerate projector block update")
-            self.P -= kb.T @ np.linalg.solve(gram, kb)
-        # keep P numerically symmetric; in place, as above, to spare the
-        # d x d temporaries of the out-of-place form
-        self.P += self.P.T
-        self.P /= 2.0
+            try:
+                chol = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError as exc:
+                raise FloatingPointError("degenerate projector block update") from exc
+            # inv(chol) @ kb runs several times faster than solve(chol, kb)
+            m = np.linalg.inv(chol) @ kb
+            self.P -= m.T @ m  # in place: one d x d temporary, not two
 
 
 class FusionLayer:
@@ -104,8 +110,14 @@ class FusionLayer:
             )
         if not np.all(np.isfinite(direction)):
             raise FloatingPointError("non-finite fusion step")
-        self.weights = self.weights - self.eta * direction
         if grad_b is not None:
+            grad_b = np.asarray(grad_b, dtype=np.float64)
+            if grad_b.shape != self.bias.shape:
+                raise ValueError(f"bias gradient shape {grad_b.shape} does not match "
+                                 f"bias {self.bias.shape}")
             if not np.all(np.isfinite(grad_b)):
                 raise FloatingPointError("non-finite fusion bias gradient")
-            self.bias = self.bias - self.eta * np.asarray(grad_b, dtype=np.float64)
+        # in place, after every check: a rejected step changes nothing
+        self.weights -= self.eta * direction
+        if grad_b is not None:
+            self.bias -= self.eta * grad_b

@@ -34,21 +34,6 @@ class RandomEncoder:
     bias: np.ndarray
 
 
-def soft_threshold(x: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sign(x) * max(|x| - tau, 0), computed as x - clip(x, -tau, tau).
-
-    `tau` may be an array that broadcasts against x. The result is written
-    into `out` when given, which must not share memory with x. It equals
-    the sign form exactly, except that a zero may come back as +0.0.
-    """
-    tau = np.asarray(tau)
-    if (tau < 0).any():
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    x = np.asarray(x, dtype=np.float64)
-    clipped = np.clip(x, -tau, tau, out=out)
-    return np.subtract(x, clipped, out=clipped)
-
-
 def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
     """Fit decoder theta' minimizing ||Z theta' - X||_F^2 + lam * ||theta'||_1.
 
@@ -61,7 +46,8 @@ def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
     entry is solved on its own, with its own xi, and the result is
     [..., L, D]. The gradient step is folded once into
     y - (2/xi)(G y - Z^T X) = A y + C, with A = I - (2/xi) G and
-    C = (2/xi) Z^T X, and the loop runs in preallocated buffers.
+    C = (2/xi) Z^T X, and C once into the prox bounds, as prox_tau(u + C)
+    = u - clip(u, -tau - C, tau - C); the loop runs in preallocated buffers.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -88,15 +74,18 @@ def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
     A = np.eye(Z.shape[-1]) - step * G
     C = step * (Zt @ X)
     tau = lam / xi[..., None, None]
-    theta = np.zeros(C.shape)
+    lo = -tau - C
+    hi = np.subtract(tau, C, out=C)
+    theta = np.zeros(hi.shape)
     theta_new = np.empty_like(theta)
     y = np.zeros_like(theta)
     v = np.empty_like(theta)
     t = 1.0
     for _ in range(K):
         np.matmul(A, y, out=v)
-        v += C
-        soft_threshold(v, tau, out=theta_new)
+        np.maximum(v, lo, out=theta_new)
+        np.minimum(theta_new, hi, out=theta_new)
+        np.subtract(v, theta_new, out=theta_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         np.subtract(theta_new, theta, out=y)
         y *= (t - 1.0) / t_new
@@ -109,9 +98,9 @@ def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
 
 
 # Groups are solved in stacks of about this many decoder entries: each
-# iterate array of a stack then takes about 256 KiB, so the four of them
-# and the folded step stay in cache. Stacking all 30 groups of a 784-wide
-# input instead spills them and runs slower than one group at a time.
+# iterate array of a stack then takes about 256 KiB, so the four of them,
+# both prox bounds and the folded step stay in cache. Stacking all 30 groups
+# of a 784-wide input instead spills them and runs slower than one at a time.
 _FISTA_CHUNK = 1 << 15
 
 

@@ -293,7 +293,7 @@ class Model:
                 step_w = self.head_projector.P @ grads.grad_w
             else:
                 step_w = grads.grad_w
-            self.head.weights = self.head.weights - cfg.head_lr * step_w
+            self.head.weights -= cfg.head_lr * step_w
             da = grads.grad_hidden * dact
             self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
 

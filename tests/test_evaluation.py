@@ -78,6 +78,12 @@ def test_matrix_validation():
         m.set_cell(0, 1, 0.5)
     with pytest.raises(ValueError, match="outside"):
         m.set_cell(1, 0, 1.5)
+    # negative indices would wrap to the upper triangle, and a row past the
+    # last class does not exist
+    for after, cls in ((1, -1), (-1, -2), (5, 0)):
+        with pytest.raises(ValueError, match=rf"cell \({after}, {cls}\)"):
+            m.set_cell(after, cls, 0.5, 3)
+    assert not m.mask.any()
     m.set_cell(2, 0, 0.5)
     m.set_cell(2, 1, 0.5)
     with pytest.raises(ValueError, match="incomplete"):

@@ -67,11 +67,14 @@ def test_block_equals_rank_one_sequence(rng):
 
 
 def test_in_place_absorb_matches_out_of_place_form(rng):
-    # the update runs in place; it must equal the plain formula bit for bit,
-    # across several chunks, and leave P exactly symmetric
+    # the update runs in place through the Cholesky factor; it must equal
+    # the plain formula bit for bit, across several chunks, leave P exactly
+    # symmetric with no symmetrize pass, and agree with the general-solve
+    # form of the same update
     d, chunk = 9, 4
     proj = Projector(d, alpha=0.7)
     ref = np.eye(d)
+    solved = np.eye(d)
     for _ in range(3):
         Z = rng.standard_normal((11, d))
         proj.absorb(Z, chunk_size=chunk)
@@ -79,10 +82,15 @@ def test_in_place_absorb_matches_out_of_place_form(rng):
             zb = Z[start : start + chunk]
             kb = zb @ ref
             gram = 0.7 * np.eye(zb.shape[0]) + kb @ zb.T
-            ref = ref - kb.T @ np.linalg.solve(gram, kb)
-        ref = (ref + ref.T) / 2.0
+            m = np.linalg.inv(np.linalg.cholesky(gram)) @ kb
+            ref = ref - m.T @ m
+            kb = zb @ solved
+            gram = 0.7 * np.eye(zb.shape[0]) + kb @ zb.T
+            solved = solved - kb.T @ np.linalg.solve(gram, kb)
+        solved = (solved + solved.T) / 2.0
         assert np.array_equal(proj.P, ref)
         assert np.array_equal(proj.P, proj.P.T)
+        np.testing.assert_allclose(proj.P, solved, rtol=1e-12, atol=1e-12)
 
 
 def test_projector_symmetric_and_contractive(rng):
@@ -131,6 +139,14 @@ def test_projector_validation(rng):
         proj.absorb(np.ones(4))
     with pytest.raises(ValueError):
         proj.absorb(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_absorb_rejects_chunk_size_below_one(rng):
+    proj = Projector(3, 1.0)
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            proj.absorb(rng.standard_normal((4, 3)), chunk_size=chunk_size)
+    assert np.array_equal(proj.P, np.eye(3))
 
 
 def test_degenerate_absorb_raises(rng):
@@ -223,9 +239,30 @@ def test_bias_updates_unprojected(rng):
     assert np.allclose(layer.bias, b0 - 0.1 * gb)
 
 
-def test_step_validates_gradients():
+def test_step_validates_gradients(rng):
     layer = FusionLayer(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        layer.orthogonal_step(np.zeros((2, 2)))
-    with pytest.raises(FloatingPointError):
-        layer.orthogonal_step(np.full((3, 2), np.nan))
+    layer.bias = rng.standard_normal(2)
+    W0, b0 = layer.weights.copy(), layer.bias.copy()
+    good_w = rng.standard_normal((3, 2))
+    rejected = [
+        (ValueError, np.zeros((2, 2)), None),
+        (FloatingPointError, np.full((3, 2), np.nan), None),
+        (ValueError, good_w, np.ones((2, 1))),
+        (ValueError, good_w, np.ones(1)),
+        (FloatingPointError, good_w, np.array([np.inf, 0.0])),
+    ]
+    for error, direction, grad_b in rejected:
+        with pytest.raises(error):
+            layer.orthogonal_step(direction, grad_b)
+        # a rejected step changes nothing, not even the weights when only
+        # the bias gradient is bad
+        assert np.array_equal(layer.weights, W0)
+        assert np.array_equal(layer.bias, b0)
+    # the steps run in place but never write to the caller's arrays
+    direction, grad_b = good_w.copy(), rng.standard_normal(2)
+    d0, g0 = direction.copy(), grad_b.copy()
+    layer.orthogonal_step(direction, grad_b)
+    assert np.array_equal(direction, d0)
+    assert np.array_equal(grad_b, g0)
+    assert np.array_equal(layer.weights, W0 - layer.eta * d0)
+    assert np.array_equal(layer.bias, b0 - layer.eta * g0)

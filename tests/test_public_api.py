@@ -14,7 +14,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 REMOVED = ("SparseCoder", "encode", "fusion_forward", "orthogonal_step",
            "projector_direct", "emit_embeddings", "lipschitz_constant",
-           "head_forward", "apply_activation", "activation_derivative", "ACTIVATIONS")
+           "head_forward", "apply_activation", "activation_derivative", "ACTIVATIONS",
+           "soft_threshold")
 
 
 def test_every_exported_name_resolves():
