@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, dataset, evaluation
 from .container import ContainerError, atomic_open
 from .dataset import FeatureTableError, IdxFormatError
-from .trainer import ConfigError, Model, RunConfig, config_field_types, run
+from .trainer import MODES, ConfigError, Model, RunConfig, config_field_types, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,7 +33,7 @@ IDX_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
-MODE_ALIASES = {"net1": "net1_orth_only", "net2": "net2_orth_both", "full": "full"}
+MODE_ALIASES = {m.split("_")[0]: m for m in MODES}
 REPORT_KEYS = ("protocol.name", "config.mode", "metrics.avg_acc", "metrics.bwt")
 BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
@@ -82,11 +82,11 @@ def build_config(config_path: str | None, overrides: list[str],
     if seed is not None:
         flat["seed"] = seed
     for key, value in flat.items():
-        if "." in key:
-            section, _, name = key.partition(".")
-            raw.setdefault(section, {})[name] = value
-        else:
-            raw[key] = value
+        section, _, name = key.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if not isinstance(target, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        target[name] = value
     return RunConfig.from_dict(raw)
 
 
@@ -108,15 +108,13 @@ def parse_heldout(spec: str | None) -> dict[int, list[int]] | None:
 def cmd_prepare(args: argparse.Namespace) -> int:
     config = build_config(args.config, args.set)
     heldout = parse_heldout(args.heldout)
+    name = args.protocol
     if args.features:
         if not args.labels_file:
             raise ConfigError("--features requires --labels-file")
-        name = args.protocol
         data = dataset.load_feature_views(args.features, args.labels_file,
                                           train_fraction=args.train_fraction,
                                           seed=args.seed)
-        num_views = data.views_per_class
-        num_classes = data.num_classes
     else:
         m = PROTOCOL_RE.match(args.protocol)
         if not m:
@@ -125,7 +123,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             )
         if not args.source_dir:
             raise ConfigError(f"protocol {args.protocol!r} requires --source-dir")
-        name = args.protocol
         num_classes, num_views = int(m.group("c")), int(m.group("v"))
         paths = {k: os.path.join(args.source_dir, v) for k, v in IDX_FILES.items()}
         for p in paths.values():
@@ -144,7 +141,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             data = dataset.make_synthesized_views(base, num_views, config.encoder, args.seed)
     if args.zscore:
         data = dataset.zscore_views(data)
-    protocol = dataset.make_protocol(name, num_classes, num_views, args.seed,
+    protocol = dataset.make_protocol(name, data.num_classes, data.views_per_class, args.seed,
                                      heldout_views=heldout)
     out = args.out or f"{name}-seed{args.seed}.mvcl"
     if not os.path.isabs(out) and os.sep not in out:
@@ -189,6 +186,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = Model.load_checkpoint(checkpoint)
     data, _, _ = dataset.load_split(_resolve_cache(args.cache))
     row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
+    untested = [c for c, acc in zip(model.slot_to_class, row) if np.isnan(acc)]
+    if untested:
+        raise ConfigError(f"cache {args.cache!r} has no test samples for classes {untested}")
     avg = float(np.mean(row))
     bwt_value = None
     report_path = args.run and os.path.join(args.run, "report.csv")

@@ -4,8 +4,7 @@ The head grows one zero-initialized column per new class. At each class
 boundary the current weights become the anchor and the class's diagonal
 Fisher estimate is added to a single running sum, so the quadratic penalty
 (mu/2) * sum fisher_sum * (W - anchor)^2 needs O(h * C) memory no matter
-how many classes have passed. The penalty covers output weights only; the
-trainer never steps the bias, so it stays at zero.
+how many classes have passed. The head is weights only: logits are H @ W.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class FisherEstimate:
 class HeadGradients(NamedTuple):
     loss: float
     grad_w: np.ndarray
-    grad_b: np.ndarray
     grad_hidden: np.ndarray
 
 
@@ -48,7 +46,6 @@ class DecisionHead:
         self.hidden_dim = hidden_dim
         self.mu = float(mu)
         self.weights = np.zeros((hidden_dim, 0))
-        self.bias = np.zeros(0)
         self.anchor = np.zeros((hidden_dim, 0))
         self.fisher_sum = np.zeros((hidden_dim, 0))
 
@@ -69,7 +66,7 @@ class DecisionHead:
             )
         if self.classes_seen == 0:
             raise ValueError("head has no classes yet; call expand_head first")
-        return H @ self.weights + self.bias
+        return H @ self.weights
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -86,7 +83,6 @@ def expand_head(head: DecisionHead) -> None:
     """
     h = head.hidden_dim
     head.weights = np.hstack([head.weights, np.zeros((h, 1))])
-    head.bias = np.append(head.bias, 0.0)
     head.fisher_sum = np.hstack([head.fisher_sum, np.zeros((h, 1))])
 
 
@@ -131,7 +127,6 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad_w = H.T @ delta
-    grad_b = delta.sum(axis=0)
     grad_hidden = delta @ head.weights.T
 
     loss = ce
@@ -141,7 +136,7 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
         fsum = head.fisher_sum[:, :c_anchor]
         loss = ce + 0.5 * head.mu * float(np.sum(fsum * drift * drift))
         grad_w[:, :c_anchor] += head.mu * fsum * drift
-    return HeadGradients(loss=loss, grad_w=grad_w, grad_b=grad_b, grad_hidden=grad_hidden)
+    return HeadGradients(loss=loss, grad_w=grad_w, grad_hidden=grad_hidden)
 
 
 def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> None:

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# rows per block update: bounds the k x k Gram and its Cholesky factor
+_ABSORB_CHUNK = 256
+
 
 class Projector:
     """Orthogonal projector maintained recursively; fresh state is I."""
@@ -26,18 +29,16 @@ class Projector:
         self.alpha = float(alpha)
         self.P = np.eye(dim)
 
-    def absorb(self, z: np.ndarray, chunk_size: int = 256) -> None:
+    def absorb(self, z: np.ndarray) -> None:
         """Absorb one feature vector or a mini-batch of rows.
 
-        The block update over a chunk Zb,
+        The block update over each chunk Zb of up to _ABSORB_CHUNK rows,
             P <- P - P Zb^T (alpha I_k + Zb P Zb^T)^-1 Zb P,
         equals absorbing the rows one at a time by the rank-1 rule
         P <- P - (P z z^T P)/(alpha + z^T P z); no past features are stored.
         With the Cholesky factor gram = C C^T and M = C^-1 Zb P it is
         P <- P - M^T M, which matmul forms exactly symmetric, and so is P.
         """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 1:
             z = z[None, :]
@@ -45,8 +46,8 @@ class Projector:
             raise ValueError(f"expected features of dim {self.dim}, got shape {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ValueError("cannot absorb non-finite features")
-        for start in range(0, z.shape[0], chunk_size):
-            zb = z[start : start + chunk_size]
+        for start in range(0, z.shape[0], _ABSORB_CHUNK):
+            zb = z[start : start + _ABSORB_CHUNK]
             kb = zb @ self.P  # [k x d]; P symmetric so this is (P zb^T)^T
             gram = self.alpha * np.eye(zb.shape[0]) + kb @ zb.T
             if not np.all(np.isfinite(gram)) or np.any(np.diag(gram) <= 0):
@@ -97,27 +98,20 @@ class FusionLayer:
         out = np.tanh(Z @ self.weights + self.bias)
         return out, 1.0 - out * out
 
-    def orthogonal_step(self, direction: np.ndarray, grad_b: np.ndarray | None = None) -> None:
-        """W <- W - eta * direction; bias steps unprojected.
+    def orthogonal_step(self, direction: np.ndarray, grad_b: np.ndarray) -> None:
+        """W <- W - eta * direction and b <- b - eta * grad_b (unprojected).
 
         The caller hands in a direction that already lies in P's range: the
         trainer projects each session's inputs once, (Z P)^T delta.
         """
         direction = np.asarray(direction, dtype=np.float64)
-        if direction.shape != self.weights.shape:
-            raise ValueError(
-                f"step shape {direction.shape} does not match weights {self.weights.shape}"
-            )
-        if not np.all(np.isfinite(direction)):
-            raise FloatingPointError("non-finite fusion step")
-        if grad_b is not None:
-            grad_b = np.asarray(grad_b, dtype=np.float64)
-            if grad_b.shape != self.bias.shape:
-                raise ValueError(f"bias gradient shape {grad_b.shape} does not match "
-                                 f"bias {self.bias.shape}")
-            if not np.all(np.isfinite(grad_b)):
-                raise FloatingPointError("non-finite fusion bias gradient")
+        grad_b = np.asarray(grad_b, dtype=np.float64)
+        for what, step, target in (("step", direction, self.weights),
+                                   ("bias gradient", grad_b, self.bias)):
+            if step.shape != target.shape:
+                raise ValueError(f"{what} shape {step.shape} does not match {target.shape}")
+            if not np.all(np.isfinite(step)):
+                raise FloatingPointError(f"non-finite fusion {what}")
         # in place, after every check: a rejected step changes nothing
         self.weights -= self.eta * direction
-        if grad_b is not None:
-            self.bias -= self.eta * grad_b
+        self.bias -= self.eta * grad_b

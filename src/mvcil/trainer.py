@@ -44,6 +44,8 @@ from .sparse_features import ExtractionConfig, extract_view_feature
 
 MODES = ("full", "net1_orth_only", "net2_orth_both")
 CONFIG_SCHEMA_VERSION = 1
+# the mean logit a new class's imprinted head column starts near
+IMPRINT_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class ConsolidationConfig:
     batch_size: int = setting(64, ge=1)
     max_steps_per_session: int = setting(60, ge=1)
     head_lr: float = setting(2e-3, gt=0)
-    imprint_scale: float = setting(2.0, gt=0)
 
     def __post_init__(self) -> None:
         check("consolidation", self)
@@ -77,7 +78,8 @@ SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
 # always uses, so their checkpoints and manifests still load
 RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
            "fusion.depth": 1, "consolidation.train_head_bias": False,
-           "encoder.activation": "tanh", "fusion.activation": "tanh"}
+           "encoder.activation": "tanh", "fusion.activation": "tanh",
+           "consolidation.imprint_scale": IMPRINT_SCALE}
 
 
 def _retired(key: str, value) -> bool:
@@ -214,7 +216,6 @@ class Model:
     # ---- training -----------------------------------------------------
 
     def train_session(self, batch: ViewBatch) -> None:
-        cfg = self.config
         cid = batch.class_id
         new_class = cid not in self.slot_to_class
         if not new_class and cid != self.slot_to_class[-1]:
@@ -232,19 +233,19 @@ class Model:
         feats = self.extract(batch)
         if new_class:
             # seed the fresh column with the class's mean hidden direction,
-            # scaled so its mean logit starts near imprint_scale. A zero
+            # scaled so its mean logit starts near IMPRINT_SCALE. A zero
             # column never trains when the class arrives alone (single-class
             # softmax saturates, so gradient and Fisher both vanish) and
             # would lose to every later class's logit for good.
             m = self.fusion.forward(feats).mean(axis=0)
             energy = float(m @ m)
             if energy > 0.0:
-                self.head.weights[:, slot] = m * (cfg.consolidation.imprint_scale / energy)
+                self.head.weights[:, slot] = m * (IMPRINT_SCALE / energy)
         slot_labels = np.full(batch.num_samples, slot, dtype=np.int64)
         self._supervised_loop(feats, slot_labels)
 
         # protect what was just learned: absorb after the gradient steps
-        if cfg.fusion.projector_enabled:
+        if self.config.fusion.projector_enabled:
             self.fusion.projector.absorb(feats)
         h_full = self.fusion.forward(feats)
         if self.head_projector is not None:
@@ -313,17 +314,15 @@ class Model:
         yield "fusion/0/weights", self.fusion, "weights"
         yield "fusion/0/bias", self.fusion, "bias"
         yield "fusion/0/projector", self.fusion.projector, "P"
-        for attr in ("weights", "bias", "anchor", "fisher_sum"):
+        for attr in ("weights", "anchor", "fisher_sum"):
             yield f"head/{attr}", self.head, attr
         if self.head_projector is not None:
             yield "head_projector", self.head_projector, "P"
 
     def state_size_bytes(self) -> int:
         """Bytes held by live training state (excludes eval-time caches)."""
-        total = sum(getattr(owner, attr).nbytes for _, owner, attr in self._state())
-        for enc in self.encoders.values():
-            total += enc.weights.nbytes + enc.bias.nbytes
-        return total
+        return (sum(getattr(owner, attr).nbytes for _, owner, attr in self._state())
+                + sum(enc.weights.nbytes + enc.bias.nbytes for enc in self.encoders.values()))
 
     def save_checkpoint(self, path: str) -> None:
         header = {
@@ -348,12 +347,25 @@ class Model:
         try:
             config = RunConfig.from_dict(header["config"])
             model = cls(config)
+            model.slot_to_class = list(header["slot_to_class"])
+            # a fresh model fixes every shape but the head's: one column per
+            # slot, of which the anchor covers the classes consolidated so far
+            head_shape = (config.fusion.width, len(model.slot_to_class))
+            want = {name: head_shape if owner is model.head else getattr(owner, attr).shape
+                    for name, owner, attr in model._state()}
+            want["head/pending_fisher"] = head_shape
+            anchor = arrays["head/anchor"]
+            if anchor.ndim == 2 and anchor.shape[1] <= head_shape[1]:
+                want["head/anchor"] = (head_shape[0], anchor.shape[1])
+            for name, shape in want.items():
+                if name in arrays and arrays[name].shape != shape:
+                    raise container.ContainerError(
+                        f"{path!r}: {name} has shape {arrays[name].shape}, expected {shape}")
             for name, owner, attr in model._state():
                 setattr(owner, attr, arrays[name])
             if "head/pending_fisher" in arrays:
                 model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
                                                        header["pending_fisher_samples"])
-            model.slot_to_class = list(header["slot_to_class"])
             model.session_index = header["session_index"]
             for dim in header["encoder_dims"]:
                 model.encoder_for(dim)
@@ -411,11 +423,9 @@ def run(
         model.finish_stream()
         fam = None
         if protocol.heldout_views:
-            held = [b for b in data.test
-                    if b.view_id in protocol.heldout_views.get(b.class_id, frozenset())]
-            shared = [b for b in data.test
-                      if b.view_id not in protocol.heldout_views.get(b.class_id, frozenset())]
-            fam = evaluation.familiar_view_eval(model, held, shared)
+            held = {b: b.view_id in protocol.heldout_views.get(b.class_id, ()) for b in data.test}
+            fam = evaluation.familiar_view_eval(model, [b for b in held if held[b]],
+                                                [b for b in held if not held[b]])
     finally:
         # the returned model keeps no test features; a later predict extracts
         model._eval_memo = None

@@ -233,6 +233,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         assert "error:" in capsys.readouterr().err
+    # an override into a config section that is not an object
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text(json.dumps({"fusion": 3}))
+    assert main(["train", "--cache", "none.mvcl", "--config", str(not_object),
+                 "--set", "fusion.width=10"]) == EXIT_CONFIG
+    assert "config section 'fusion' must be an object" in capsys.readouterr().err
     # a config file may hold a retired activation key only at "tanh"
     sigmoid = tmp_path / "sigmoid.json"
     sigmoid.write_text(json.dumps({"fusion": {"activation": "sigmoid"}}))
@@ -304,6 +310,22 @@ def test_eval_with_malformed_report_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--run", run_dir, "--cache", cache]) == EXIT_CONFIG
     assert report in capsys.readouterr().err
+
+
+def test_eval_of_a_class_the_cache_cannot_test_exits_2(tmp_path, capsys):
+    cache = prepare_cache(tmp_path)
+    run_dir = str(tmp_path / "run1")
+    main(["train", "--cache", cache, "--out", run_dir, *sets()])
+    capsys.readouterr()
+    data, protocol, _ = load_split(cache)
+    gappy = str(tmp_path / "gappy.mvcl")
+    save_split(gappy, SplitDataset(data.train, [b for b in data.test if b.class_id != 1],
+                                   data.num_classes, data.views_per_class, data.input_dim),
+               protocol)
+    assert main(["eval", "--run", run_dir, "--cache", gappy]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "no test samples for classes [1]" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_config_error_is_one_class_everywhere():
 
 def test_every_setting_is_declared_once_with_its_type():
     types = config_field_types()
-    assert len(types) == 17
+    assert len(types) == 16
     assert {key(p, f) for p, klass in CLASSES
             for f in dataclasses.fields(klass) if f.metadata} == set(types)
     assert sorted({t.__name__ for t in types.values()}) == ["bool", "float", "int", "str"]
@@ -124,6 +124,5 @@ def test_to_dict_is_unchanged():
         "fusion": {"alpha": 1.0, "eta": 0.01, "width": 200, "projector_enabled": True,
                    "head_projector_alpha": 1.0},
         "consolidation": {"mu": 1000.0, "epochs_per_session": 8, "batch_size": 64,
-                          "max_steps_per_session": 60, "head_lr": 2e-3,
-                          "imprint_scale": 2.0},
+                          "max_steps_per_session": 60, "head_lr": 2e-3},
     }

@@ -18,7 +18,6 @@ def make_head(hidden_dim, n_classes, mu=0.0, seed=0):
         expand_head(head)
     rng = np.random.default_rng(seed)
     head.weights = rng.standard_normal((hidden_dim, n_classes)) * 0.3
-    head.bias = rng.standard_normal(n_classes) * 0.1
     return head
 
 
@@ -39,7 +38,6 @@ def test_single_class_softmax_is_degenerate():
     grads = swc_loss_and_grad(head, H, np.zeros(7, dtype=int))
     assert grads.loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grads.grad_w, 0.0)
-    assert np.allclose(grads.grad_b, 0.0)
 
 
 def test_softmax_shift_invariant_and_stable():
@@ -112,10 +110,8 @@ def test_swc_gradients_match_central_differences(rng):
     grads = swc_loss_and_grad(head, H, labels)
 
     gw = fd_grad(lambda: swc_loss_and_grad(head, H, labels).loss, head.weights)
-    gb = fd_grad(lambda: swc_loss_and_grad(head, H, labels).loss, head.bias)
     gh = fd_grad(lambda: swc_loss_and_grad(head, H, labels).loss, H)
     assert np.allclose(grads.grad_w, gw, atol=1e-6)
-    assert np.allclose(grads.grad_b, gb, atol=1e-6)
     assert np.allclose(grads.grad_hidden, gh, atol=1e-6)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvcil import orthogonal_fusion
 from mvcil.orthogonal_fusion import FusionLayer, Projector
 
 
@@ -50,7 +51,7 @@ def test_recursive_matches_direct_over_instances(rng):
         assert rel < 1e-6, f"trial {trial}: rel error {rel}"
 
 
-def test_block_equals_rank_one_sequence(rng):
+def test_block_equals_rank_one_sequence(rng, monkeypatch):
     d = 10
     Z = rng.standard_normal((23, d))
     one = Projector(d, alpha=0.5)
@@ -61,23 +62,25 @@ def test_block_equals_rank_one_sequence(rng):
         k = ref @ row
         ref = ref - np.outer(k, k) / (0.5 + row @ k)
     block = Projector(d, alpha=0.5)
-    block.absorb(Z, chunk_size=7)
+    monkeypatch.setattr(orthogonal_fusion, "_ABSORB_CHUNK", 7)
+    block.absorb(Z)
     assert np.allclose(one.P, ref, atol=1e-10)
     assert np.allclose(one.P, block.P, atol=1e-10)
 
 
-def test_in_place_absorb_matches_out_of_place_form(rng):
+def test_in_place_absorb_matches_out_of_place_form(rng, monkeypatch):
     # the update runs in place through the Cholesky factor; it must equal
     # the plain formula bit for bit, across several chunks, leave P exactly
     # symmetric with no symmetrize pass, and agree with the general-solve
     # form of the same update
     d, chunk = 9, 4
+    monkeypatch.setattr(orthogonal_fusion, "_ABSORB_CHUNK", chunk)
     proj = Projector(d, alpha=0.7)
     ref = np.eye(d)
     solved = np.eye(d)
     for _ in range(3):
         Z = rng.standard_normal((11, d))
-        proj.absorb(Z, chunk_size=chunk)
+        proj.absorb(Z)
         for start in range(0, Z.shape[0], chunk):
             zb = Z[start : start + chunk]
             kb = zb @ ref
@@ -141,14 +144,6 @@ def test_projector_validation(rng):
         proj.absorb(np.array([np.nan, 0.0, 0.0]))
 
 
-def test_absorb_rejects_chunk_size_below_one(rng):
-    proj = Projector(3, 1.0)
-    for chunk_size in (0, -1):
-        with pytest.raises(ValueError, match="chunk_size"):
-            proj.absorb(rng.standard_normal((4, 3)), chunk_size=chunk_size)
-    assert np.array_equal(proj.P, np.eye(3))
-
-
 def test_degenerate_absorb_raises(rng):
     # a row whose denominator alpha + z^T P z is not positive
     proj = Projector(3, alpha=1.0)
@@ -204,7 +199,7 @@ def test_learning_without_interference(rng):
     W0 = layer.weights.copy()
     Z_p = rng.standard_normal((6, d_in)) @ layer.projector.P
     for _ in range(10):
-        layer.orthogonal_step(Z_p.T @ rng.standard_normal((6, d_out)))
+        layer.orthogonal_step(Z_p.T @ rng.standard_normal((6, d_out)), np.zeros(d_out))
     out_after = layer.forward(Z_old)
     assert np.allclose(out_before, out_after, atol=1e-3)
     # the weights still moved: plasticity survives outside the absorbed span
@@ -218,7 +213,7 @@ def test_unprojected_step_is_plain_descent(rng):
     layer.projector.absorb(rng.standard_normal((3, 4)))
     W0 = layer.weights.copy()
     g = rng.standard_normal((4, 2))
-    layer.orthogonal_step(g)
+    layer.orthogonal_step(g, np.zeros(2))
     assert np.array_equal(layer.weights, W0 - 0.5 * g)
 
 
@@ -226,7 +221,7 @@ def test_fresh_projector_step_reduces_to_plain(rng):
     layer = FusionLayer(4, 2, eta=0.2, seed=1)
     W0 = layer.weights.copy()
     g = rng.standard_normal((4, 2))
-    layer.orthogonal_step(g)  # P = I
+    layer.orthogonal_step(g, np.zeros(2))  # P = I
     assert np.array_equal(layer.weights, W0 - 0.2 * g)
 
 
@@ -245,8 +240,8 @@ def test_step_validates_gradients(rng):
     W0, b0 = layer.weights.copy(), layer.bias.copy()
     good_w = rng.standard_normal((3, 2))
     rejected = [
-        (ValueError, np.zeros((2, 2)), None),
-        (FloatingPointError, np.full((3, 2), np.nan), None),
+        (ValueError, np.zeros((2, 2)), np.zeros(2)),
+        (FloatingPointError, np.full((3, 2), np.nan), np.zeros(2)),
         (ValueError, good_w, np.ones((2, 1))),
         (ValueError, good_w, np.ones(1)),
         (FloatingPointError, good_w, np.array([np.inf, 0.0])),

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import mvcil
+from mvcil.consolidation import HeadGradients
 from mvcil.dataset import save_split
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -49,7 +50,8 @@ def test_removed_members_and_parameters_are_gone():
     for klass, name in ((mvcil.RunConfig, "eval_cadence"),
                         (mvcil.FusionConfig, "projector_reset_per_class"),
                         (mvcil.FusionConfig, "depth"),
-                        (mvcil.ConsolidationConfig, "train_head_bias")):
+                        (mvcil.ConsolidationConfig, "train_head_bias"),
+                        (mvcil.ConsolidationConfig, "imprint_scale")):
         assert name not in {f.name for f in dataclasses.fields(klass)}, name
     # re-encoding and fusion always use tanh
     for klass in (mvcil.ExtractionConfig, mvcil.FusionConfig, mvcil.RandomEncoder):
@@ -60,7 +62,14 @@ def test_removed_members_and_parameters_are_gone():
     assert not hasattr(mvcil.Model, "hidden")
     assert not hasattr(mvcil.FusionLayer, "d_in")
     assert not hasattr(mvcil.FusionLayer, "d_out")
-    assert "project" not in inspect.signature(mvcil.FusionLayer.orthogonal_step).parameters
+    step = inspect.signature(mvcil.FusionLayer.orthogonal_step).parameters
+    assert "project" not in step
+    # the trainer always steps the fusion bias, so its gradient is required
+    assert step["grad_b"].default is inspect.Parameter.empty
+    assert "chunk_size" not in inspect.signature(mvcil.Projector.absorb).parameters
+    # the head is weights only: no bias to store, add or differentiate
+    assert not hasattr(mvcil.DecisionHead(3), "bias")
+    assert "grad_b" not in HeadGradients._fields
 
 
 def test_derived_and_unread_state_is_gone():

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import re
 import weakref
 
 import numpy as np
@@ -56,8 +57,7 @@ def tiny_config(**overrides):
 
 
 def model_arrays(model):
-    out = [model.head.weights, model.head.bias, model.head.anchor,
-           model.head.fisher_sum]
+    out = [model.head.weights, model.head.anchor, model.head.fisher_sum]
     out += [model.fusion.weights, model.fusion.bias, model.fusion.projector.P]
     if model.head_projector is not None:
         out.append(model.head_projector.P)
@@ -166,9 +166,9 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
 
 
 def test_legacy_checkpoint_keys_are_ignored(tmp_path):
-    # checkpoints from earlier versions also stored mu as an array, four
-    # derived or unread header keys, and five retired config keys at their
-    # defaults; they still load the same model
+    # checkpoints from earlier versions also stored mu as an array, the
+    # head's always-zero bias, four derived or unread header keys, and six
+    # retired config keys at their defaults; they still load the same model
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
     path = str(tmp_path / "legacy.mvcl")
@@ -181,17 +181,46 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     header["config"]["consolidation"]["train_head_bias"] = False
     header["config"]["encoder"]["activation"] = "tanh"
     header["config"]["fusion"]["activation"] = "tanh"
+    header["config"]["consolidation"]["imprint_scale"] = 2.0
     assert RunConfig.from_dict(header["config"]) == res.model.config
     arrays["head/mu"] = np.array([res.model.head.mu])
+    arrays["head/bias"] = np.zeros(len(res.model.slot_to_class))
     container.write_container(path, header, arrays)
     loaded = Model.load_checkpoint(path)
     for x, y in zip(model_arrays(res.model), model_arrays(loaded)):
         assert np.array_equal(x, y)
     assert loaded.head.mu == res.model.head.mu
     assert loaded.config == res.model.config
+    assert not hasattr(loaded.head, "bias")
     for batch in data.test:
         assert np.array_equal(res.model.predict_labels(batch),
                               loaded.predict_labels(batch))
+
+
+def test_checkpoint_shapes_must_match_config_and_slots(tmp_path):
+    data, protocol = tiny_data()
+    run(tiny_config(), data, protocol, out_dir=str(tmp_path))
+    header, arrays = container.read_container(str(tmp_path / "checkpoint.mvcl"))
+    w = arrays["head/weights"]
+    corrupt = [
+        # a slot the head has no column for
+        ({"slot_to_class": header["slot_to_class"] + [9]}, {}, "head/weights"),
+        ({}, {"head/weights": w[:, :-1]}, "head/weights"),
+        ({}, {"head/fisher_sum": w[:-1]}, "head/fisher_sum"),
+        ({}, {"head/anchor": np.hstack([w, w[:, :1]])}, "head/anchor"),
+        ({}, {"head/anchor": w[:-1, :1]}, "head/anchor"),
+        ({}, {"fusion/0/bias": np.zeros(9)}, "fusion/0/bias"),
+        ({}, {"fusion/0/projector": np.eye(5)}, "fusion/0/projector"),
+        ({}, {"head_projector": np.eye(9)}, "head_projector"),
+        ({"pending_fisher_samples": 10}, {"head/pending_fisher": w[:, :-1]},
+         "head/pending_fisher"),
+    ]
+    for i, (header_changes, array_changes, name) in enumerate(corrupt):
+        path = str(tmp_path / f"corrupt{i}.mvcl")
+        container.write_container(path, {**header, **header_changes},
+                                  {**arrays, **array_changes})
+        with pytest.raises(container.ContainerError, match=re.escape(f"{name} has shape")):
+            Model.load_checkpoint(path)
 
 
 def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
@@ -356,6 +385,7 @@ def test_config_round_trip_and_rejects_unknown():
     ("consolidation", "train_head_bias", True),
     ("encoder", "activation", "sigmoid"),
     ("fusion", "activation", "sigmoid"),
+    ("consolidation", "imprint_scale", 3.0),
 ])
 def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
     raw = tiny_config().to_dict()
@@ -384,8 +414,6 @@ def test_config_validation():
         ConsolidationConfig(head_lr=0.0)
     with pytest.raises(ConfigError, match="max_steps_per_session"):
         ConsolidationConfig(max_steps_per_session=0)
-    with pytest.raises(ConfigError, match="imprint_scale"):
-        ConsolidationConfig(imprint_scale=0.0)
     with pytest.raises(ConfigError, match="fusion.head_projector_alpha"):
         FusionConfig(head_projector_alpha=0.0)
     # NaN fails every comparison, so it would pass the bound checks alone
@@ -407,7 +435,7 @@ def test_config_field_types_cover_all_knobs():
     # every dotted key parses back to a dataclass field
     assert all("." in k or k in ("seed", "mode") for k in types)
     # a new knob must change this count on purpose
-    assert len(types) == 17
+    assert len(types) == 16
 
 
 def test_run_writes_report_checkpoint_manifest(tmp_path):
@@ -553,5 +581,5 @@ def test_imprint_seeds_new_head_column_from_hidden_mean():
     # so the column must still equal the imprint exactly
     h = model.fusion.forward(model.extract(batch))
     m = h.mean(axis=0)
-    want = m * (model.config.consolidation.imprint_scale / float(m @ m))
+    want = m * (trainer.IMPRINT_SCALE / float(m @ m))
     np.testing.assert_allclose(model.head.weights[:, 0], want, rtol=1e-12)
