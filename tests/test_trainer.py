@@ -197,30 +197,44 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
                               loaded.predict_labels(batch))
 
 
-def test_checkpoint_shapes_must_match_config_and_slots(tmp_path):
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("tiny_checkpoint")
     data, protocol = tiny_data()
-    run(tiny_config(), data, protocol, out_dir=str(tmp_path))
-    header, arrays = container.read_container(str(tmp_path / "checkpoint.mvcl"))
-    w = arrays["head/weights"]
-    corrupt = [
-        # a slot the head has no column for
-        ({"slot_to_class": header["slot_to_class"] + [9]}, {}, "head/weights"),
-        ({}, {"head/weights": w[:, :-1]}, "head/weights"),
-        ({}, {"head/fisher_sum": w[:-1]}, "head/fisher_sum"),
-        ({}, {"head/anchor": np.hstack([w, w[:, :1]])}, "head/anchor"),
-        ({}, {"head/anchor": w[:-1, :1]}, "head/anchor"),
-        ({}, {"fusion/0/bias": np.zeros(9)}, "fusion/0/bias"),
-        ({}, {"fusion/0/projector": np.eye(5)}, "fusion/0/projector"),
-        ({}, {"head_projector": np.eye(9)}, "head_projector"),
-        ({"pending_fisher_samples": 10}, {"head/pending_fisher": w[:, :-1]},
-         "head/pending_fisher"),
-    ]
-    for i, (header_changes, array_changes, name) in enumerate(corrupt):
-        path = str(tmp_path / f"corrupt{i}.mvcl")
-        container.write_container(path, {**header, **header_changes},
-                                  {**arrays, **array_changes})
-        with pytest.raises(container.ContainerError, match=re.escape(f"{name} has shape")):
-            Model.load_checkpoint(path)
+    run(tiny_config(), data, protocol, out_dir=str(out_dir))
+    return container.read_container(str(out_dir / "checkpoint.mvcl"))
+
+
+# (id, corruption of (header, head weights) -> (header changes, array
+# changes), the array the error must name)
+CORRUPT_CHECKPOINTS = [
+    ("slot-without-head-column",
+     lambda header, w: ({"slot_to_class": header["slot_to_class"] + [9]}, {}), "head/weights"),
+    ("narrow-head", lambda header, w: ({}, {"head/weights": w[:, :-1]}), "head/weights"),
+    ("short-fisher", lambda header, w: ({}, {"head/fisher_sum": w[:-1]}), "head/fisher_sum"),
+    ("anchor-wider-than-head",
+     lambda header, w: ({}, {"head/anchor": np.hstack([w, w[:, :1]])}), "head/anchor"),
+    ("short-anchor", lambda header, w: ({}, {"head/anchor": w[:-1, :1]}), "head/anchor"),
+    ("fusion-bias", lambda header, w: ({}, {"fusion/0/bias": np.zeros(9)}), "fusion/0/bias"),
+    ("fusion-projector",
+     lambda header, w: ({}, {"fusion/0/projector": np.eye(5)}), "fusion/0/projector"),
+    ("head-projector", lambda header, w: ({}, {"head_projector": np.eye(9)}), "head_projector"),
+    ("narrow-pending-fisher",
+     lambda header, w: ({"pending_fisher_samples": 10}, {"head/pending_fisher": w[:, :-1]}),
+     "head/pending_fisher"),
+]
+
+
+@pytest.mark.parametrize("corrupt, name", [pytest.param(c, n, id=i)
+                                           for i, c, n in CORRUPT_CHECKPOINTS])
+def test_checkpoint_shapes_must_match_config_and_slots(tiny_checkpoint, tmp_path,
+                                                       corrupt, name):
+    header, arrays = tiny_checkpoint
+    header_changes, array_changes = corrupt(header, arrays["head/weights"])
+    path = str(tmp_path / "corrupt.mvcl")
+    container.write_container(path, {**header, **header_changes}, {**arrays, **array_changes})
+    with pytest.raises(container.ContainerError, match=re.escape(f"{name} has shape")):
+        Model.load_checkpoint(path)
 
 
 def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
