@@ -23,6 +23,8 @@ from .sparse_features import ExtractionConfig, extract_view_feature
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MAX_PERMUTED_VIEWS = 64
+# added to each column's train std so a constant column scales to 0, not nan
+_ZSCORE_EPS = 1e-8
 
 
 class IdxFormatError(ValueError):
@@ -388,14 +390,14 @@ def _load_table(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def zscore_views(data: SplitDataset, eps: float = 1e-8) -> SplitDataset:
+def zscore_views(data: SplitDataset) -> SplitDataset:
     """Per-view z-score using train statistics; optional, off by default."""
     train, test = [], []
     for v in range(data.views_per_class):
         tr = [b for b in data.train if b.view_id == v]
         stacked = np.concatenate([b.inputs for b in tr], axis=0)
         mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0) + eps
+        std = stacked.std(axis=0) + _ZSCORE_EPS
         for pool, out in ((tr, train), ([b for b in data.test if b.view_id == v], test)):
             for b in pool:
                 out.append(ViewBatch(b.class_id, v, (b.inputs - mean) / std, b.labels))

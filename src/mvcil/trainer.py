@@ -3,7 +3,14 @@
 Each session: extract the view-optimal feature, train the fusion layer with
 projector-modulated gradient steps and the decision head with the
 consolidation penalty, then absorb the session's features into the
-projector(s). Class boundaries snapshot the anchor and fold the class's
+projector(s). The fusion steps take one of two paths with equal results up
+to float order. The per-step path forwards each mini-batch of bs rows
+through the d x h layer and writes its step: 2*bs*d*h multiply-adds a step.
+The sample-space path forms an n x n kernel of the session's rows once,
+steps for bs*n*h each and writes the layer once, when the session ends.
+`_sample_space_pays` picks it when its multiply-add count is the smaller,
+which happens only for sessions of at most about 2d rows that the plan
+revisits. Class boundaries snapshot the anchor and fold the class's
 Fisher estimate, pooled over all of its views, into the running sum. Live
 state never grows with the number of sessions (only the head gains one
 column per class).
@@ -142,6 +149,34 @@ def config_field_types() -> dict[str, type]:
     return out
 
 
+def _step_plan(rng: np.random.Generator, n: int,
+               cfg: ConsolidationConfig) -> list[np.ndarray]:
+    """A session's mini-batches: per epoch a fresh permutation of its n rows,
+    cut into batches, and the whole plan cut at a fixed per-session budget.
+    Without the budget the step count (and with it the unprotected new
+    column's logit climb) scales with dataset size, and larger streams forget
+    catastrophically at settings that are stable on small ones. An epoch's
+    permutation is drawn only if the plan reaches it."""
+    bs = min(cfg.batch_size, n)
+    perms = (rng.permutation(n) for _ in range(cfg.epochs_per_session))
+    batches = (perm[s : s + bs] for perm in perms for s in range(0, n, bs))
+    return list(itertools.islice(batches, cfg.max_steps_per_session))
+
+
+def _sample_space_pays(n: int, visits: int, d: int, h: int) -> bool:
+    """Whether a session of n rows whose plan makes `visits` row visits
+    steps a d x h fusion layer for fewer multiply-adds in sample space.
+
+    The per-step path costs 2*visits*d*h. Sample space, over m = min(n,
+    visits) rows, costs m*2*d*h for the starting pre-activations and the
+    one final write, m*m*d for the kernel and visits*m*h for the steps.
+    With m = visits it never pays, so it is only ever taken with m = n,
+    which also bounds the kernel to about (2d)^2 entries.
+    """
+    m = min(n, visits)
+    return m * (2 * d * h + m * d + visits * h) < 2 * visits * d * h
+
+
 class Model:
     """Live model state: frozen encoders, fusion layer, decision head."""
 
@@ -265,38 +300,60 @@ class Model:
         self.session_index += 1
 
     def _supervised_loop(self, feats: np.ndarray, slot_labels: np.ndarray) -> None:
-        cfg = self.config.consolidation
-        n = feats.shape[0]
-        bs = min(cfg.batch_size, n)
         rng = np.random.default_rng(
             derive_seed(self.config.seed, 0xB5, self.session_index)
         )
+        plan = _step_plan(rng, feats.shape[0], self.config.consolidation)
         # P is fixed within a session (absorb runs after this loop) and
         # symmetric, so P @ (x.T @ da) == (x @ P).T @ da: project the inputs
         # once here instead of the gradient at every step. With the projector
         # disabled P stays the identity and feats_p equals feats.
         feats_p = feats @ self.fusion.projector.P
-        # one lazy step plan: each epoch's permutation is drawn only when the
-        # plan reaches it. The plan is cut at a fixed per-session work budget:
-        # without it the step count (and with it the unprotected new column's
-        # logit climb) scales with dataset size, and larger streams forget
-        # catastrophically at settings that are stable on small ones
-        perms = (rng.permutation(n) for _ in range(cfg.epochs_per_session))
-        batches = (perm[s : s + bs] for perm in perms for s in range(0, n, bs))
-        for idx in itertools.islice(batches, cfg.max_steps_per_session):
+        if _sample_space_pays(feats.shape[0], sum(map(len, plan)), *self.fusion.weights.shape):
+            self._sample_space_loop(feats, feats_p, slot_labels, plan)
+            return
+        for idx in plan:
             h, dact = self.fusion.forward_with_grad(feats[idx])
-            grads = swc_loss_and_grad(self.head, h, slot_labels[idx])
-            if not np.isfinite(grads.loss):
-                raise FloatingPointError(
-                    f"non-finite loss at session {self.session_index}"
-                )
-            if self.head_projector is not None:
-                step_w = self.head_projector.P @ grads.grad_w
-            else:
-                step_w = grads.grad_w
-            self.head.weights -= cfg.head_lr * step_w
-            da = grads.grad_hidden * dact
+            da = self._head_step(h, slot_labels[idx]) * dact
             self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
+
+    def _sample_space_loop(self, feats: np.ndarray, feats_p: np.ndarray,
+                           slot_labels: np.ndarray, plan: list[np.ndarray]) -> None:
+        """The same steps with the layer frozen until the session ends.
+
+        Every step adds (Z P)[idx]^T delta to W and delta's column sums to b,
+        so after any number of steps W = W0 - eta (Z P)^T A and
+        b = b0 - eta A^T 1, where row i of A (n x h) sums the deltas row i
+        has drawn. A row's pre-activation is then pre0 - eta K A with
+        pre0 = Z W0 + b0 and the kernel K = Z (Z P)^T + 1 (the bias is a
+        constant input of 1, never projected). A step costs bs*n*h instead
+        of the per-step path's 2*bs*d*h, and the layer is written once.
+        """
+        eta = self.fusion.eta
+        pre = feats @ self.fusion.weights + self.fusion.bias
+        kernel = feats @ feats_p.T
+        kernel += 1.0
+        acc = np.zeros_like(pre)
+        for idx in plan:
+            h = np.tanh(pre[idx] - eta * (kernel[idx] @ acc))
+            # a permutation's slice: no row repeats within idx
+            acc[idx] += self._head_step(h, slot_labels[idx]) * (1.0 - h * h)
+        self.fusion.orthogonal_step(feats_p.T @ acc, acc.sum(axis=0))
+
+    def _head_step(self, h: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """One consolidated head step on a mini-batch's hidden activations;
+        returns the loss gradient with respect to them."""
+        grads = swc_loss_and_grad(self.head, h, labels)
+        if not np.isfinite(grads.loss):
+            raise FloatingPointError(
+                f"non-finite loss at session {self.session_index}"
+            )
+        if self.head_projector is not None:
+            step_w = self.head_projector.P @ grads.grad_w
+        else:
+            step_w = grads.grad_w
+        self.head.weights -= self.config.consolidation.head_lr * step_w
+        return grads.grad_hidden
 
     def _finish_class(self) -> None:
         if self.head.mu > 0 and self._pending_fisher is not None:
@@ -358,7 +415,12 @@ class Model:
             if anchor.ndim == 2 and anchor.shape[1] <= head_shape[1]:
                 want["head/anchor"] = (head_shape[0], anchor.shape[1])
             for name, shape in want.items():
-                if name in arrays and arrays[name].shape != shape:
+                if name not in arrays:
+                    continue
+                if arrays[name].dtype != np.float64:
+                    raise container.ContainerError(
+                        f"{path!r}: {name} has dtype {arrays[name].dtype}, expected float64")
+                if arrays[name].shape != shape:
                     raise container.ContainerError(
                         f"{path!r}: {name} has shape {arrays[name].shape}, expected {shape}")
             for name, owner, attr in model._state():

@@ -12,7 +12,7 @@ from mvcil import container, evaluation, trainer
 from mvcil.consolidation import swc_loss_and_grad
 from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
 from mvcil.evaluation import parse_report
-from mvcil.orthogonal_fusion import Projector
+from mvcil.orthogonal_fusion import FusionLayer, Projector
 from mvcil.sparse_features import ExtractionConfig
 from mvcil.trainer import (
     ConfigError,
@@ -206,34 +206,41 @@ def tiny_checkpoint(tmp_path_factory):
 
 
 # (id, corruption of (header, head weights) -> (header changes, array
-# changes), the array the error must name)
+# changes), the start of the error: the array it names and what is wrong)
 CORRUPT_CHECKPOINTS = [
     ("slot-without-head-column",
-     lambda header, w: ({"slot_to_class": header["slot_to_class"] + [9]}, {}), "head/weights"),
-    ("narrow-head", lambda header, w: ({}, {"head/weights": w[:, :-1]}), "head/weights"),
-    ("short-fisher", lambda header, w: ({}, {"head/fisher_sum": w[:-1]}), "head/fisher_sum"),
+     lambda header, w: ({"slot_to_class": header["slot_to_class"] + [9]}, {}),
+     "head/weights has shape"),
+    ("narrow-head", lambda header, w: ({}, {"head/weights": w[:, :-1]}), "head/weights has shape"),
+    ("short-fisher", lambda header, w: ({}, {"head/fisher_sum": w[:-1]}),
+     "head/fisher_sum has shape"),
     ("anchor-wider-than-head",
-     lambda header, w: ({}, {"head/anchor": np.hstack([w, w[:, :1]])}), "head/anchor"),
-    ("short-anchor", lambda header, w: ({}, {"head/anchor": w[:-1, :1]}), "head/anchor"),
-    ("fusion-bias", lambda header, w: ({}, {"fusion/0/bias": np.zeros(9)}), "fusion/0/bias"),
+     lambda header, w: ({}, {"head/anchor": np.hstack([w, w[:, :1]])}), "head/anchor has shape"),
+    ("short-anchor", lambda header, w: ({}, {"head/anchor": w[:-1, :1]}), "head/anchor has shape"),
+    ("fusion-bias", lambda header, w: ({}, {"fusion/0/bias": np.zeros(9)}),
+     "fusion/0/bias has shape"),
     ("fusion-projector",
-     lambda header, w: ({}, {"fusion/0/projector": np.eye(5)}), "fusion/0/projector"),
-    ("head-projector", lambda header, w: ({}, {"head_projector": np.eye(9)}), "head_projector"),
+     lambda header, w: ({}, {"fusion/0/projector": np.eye(5)}), "fusion/0/projector has shape"),
+    ("head-projector", lambda header, w: ({}, {"head_projector": np.eye(9)}),
+     "head_projector has shape"),
     ("narrow-pending-fisher",
      lambda header, w: ({"pending_fisher_samples": 10}, {"head/pending_fisher": w[:, :-1]}),
-     "head/pending_fisher"),
+     "head/pending_fisher has shape"),
+    # the right shape, but the weights truncated to integers
+    ("int-head-weights", lambda header, w: ({}, {"head/weights": w.astype(np.int64)}),
+     "head/weights has dtype int64"),
 ]
 
 
-@pytest.mark.parametrize("corrupt, name", [pytest.param(c, n, id=i)
-                                           for i, c, n in CORRUPT_CHECKPOINTS])
+@pytest.mark.parametrize("corrupt, message", [pytest.param(c, m, id=i)
+                                              for i, c, m in CORRUPT_CHECKPOINTS])
 def test_checkpoint_shapes_must_match_config_and_slots(tiny_checkpoint, tmp_path,
-                                                       corrupt, name):
+                                                       corrupt, message):
     header, arrays = tiny_checkpoint
     header_changes, array_changes = corrupt(header, arrays["head/weights"])
     path = str(tmp_path / "corrupt.mvcl")
     container.write_container(path, {**header, **header_changes}, {**arrays, **array_changes})
-    with pytest.raises(container.ContainerError, match=re.escape(f"{name} has shape")):
+    with pytest.raises(container.ContainerError, match=re.escape(message)):
         Model.load_checkpoint(path)
 
 
@@ -321,12 +328,20 @@ def per_step_projection_loop(model, feats, slot_labels, project):
     return steps
 
 
-def two_sessions_then_third(fusion, max_steps_per_session=7):
+# the two encoders give a width-8 layer d = 6 and d = 40 inputs: on 10-row
+# sessions the trainer steps the first per step and the second in sample
+# space, where that costs fewer multiply-adds
+PER_STEP = ExtractionConfig(n=2, L=3, max_iter=3)
+SAMPLE_SPACE = ExtractionConfig(n=10, L=4, max_iter=3)
+
+
+def two_sessions_then_third(fusion, max_steps_per_session=7, encoder=PER_STEP):
     """A model after sessions (0, 0) and (1, 0), plus the features and slot
     labels of session (1, 1). Each session has 10 samples, batch 4 and 3
     epochs: 9 steps unless the budget binds first."""
     data, _ = tiny_data(num_classes=2, views=2)
     model = Model(tiny_config(
+        encoder=encoder,
         fusion=fusion,
         consolidation=ConsolidationConfig(epochs_per_session=3, batch_size=4,
                                           max_steps_per_session=max_steps_per_session,
@@ -338,15 +353,37 @@ def two_sessions_then_third(fusion, max_steps_per_session=7):
     return model, model.extract(batch), np.full(batch.num_samples, 1, np.int64)
 
 
+def counting_steps(monkeypatch):
+    """Counts FusionLayer.orthogonal_step calls from here on."""
+    calls = []
+    step = FusionLayer.orthogonal_step
+
+    def counting(self, *args):
+        calls.append(1)
+        step(self, *args)
+
+    monkeypatch.setattr(FusionLayer, "orthogonal_step", counting)
+    return calls
+
+
 # the budget binds at 7 steps; at 20 the epochs run out first, after 9
-@pytest.mark.parametrize("max_steps, steps", [(7, 7), (20, 9)])
-def test_session_projection_matches_per_step_projection(max_steps, steps):
-    model, feats, labels = two_sessions_then_third(FusionConfig(width=8), max_steps)
-    assert not np.allclose(model.fusion.projector.P, np.eye(6))
+@pytest.mark.parametrize("encoder, max_steps, steps", [
+    pytest.param(PER_STEP, 7, 7, id="7-7"),
+    pytest.param(PER_STEP, 20, 9, id="20-9"),
+    pytest.param(SAMPLE_SPACE, 7, 7, id="sample-space-7-7"),
+    pytest.param(SAMPLE_SPACE, 20, 9, id="sample-space-20-9"),
+])
+def test_session_projection_matches_per_step_projection(monkeypatch, encoder, max_steps,
+                                                        steps):
+    model, feats, labels = two_sessions_then_third(FusionConfig(width=8), max_steps, encoder)
+    d = encoder.n * encoder.L
+    assert not np.allclose(model.fusion.projector.P, np.eye(d))
     ref = copy.deepcopy(model)
     W0 = model.fusion.weights.copy()
+    calls = counting_steps(monkeypatch)
     model._supervised_loop(feats, labels)
     assert per_step_projection_loop(ref, feats, labels, project=True) == steps
+    assert len(calls) == (1 if encoder is SAMPLE_SPACE else steps)
     assert not np.allclose(model.fusion.weights, W0)
     for got, want in ((model.fusion.weights, ref.fusion.weights),
                       (model.fusion.bias, ref.fusion.bias),
@@ -354,16 +391,60 @@ def test_session_projection_matches_per_step_projection(max_steps, steps):
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_disabled_projector_steps_by_plain_descent():
+@pytest.mark.parametrize("encoder", [pytest.param(PER_STEP, id="per-step"),
+                                     pytest.param(SAMPLE_SPACE, id="sample-space")])
+def test_disabled_projector_steps_by_plain_descent(monkeypatch, encoder):
     model, feats, labels = two_sessions_then_third(
-        FusionConfig(width=8, projector_enabled=False))
+        FusionConfig(width=8, projector_enabled=False), encoder=encoder)
     ref = copy.deepcopy(model)
+    calls = counting_steps(monkeypatch)
     model._supervised_loop(feats, labels)
-    per_step_projection_loop(ref, feats, labels, project=False)
-    assert np.array_equal(model.fusion.projector.P, np.eye(6))
-    assert np.array_equal(model.fusion.weights, ref.fusion.weights)
-    assert np.array_equal(model.fusion.bias, ref.fusion.bias)
-    assert np.array_equal(model.head.weights, ref.head.weights)
+    steps = per_step_projection_loop(ref, feats, labels, project=False)
+    d = encoder.n * encoder.L
+    assert np.array_equal(model.fusion.projector.P, np.eye(d))
+    pairs = ((model.fusion.weights, ref.fusion.weights),
+             (model.fusion.bias, ref.fusion.bias),
+             (model.head.weights, ref.head.weights))
+    if encoder is PER_STEP:
+        assert len(calls) == steps
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+    else:
+        # sample space sums the same steps in another order
+        assert len(calls) == 1
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+# the benchmark's layer (d = 600, width 200) under the default step plan
+@pytest.mark.parametrize("n, sample_space", [(64, True), (128, True), (600, True),
+                                             (1500, False), (4000, False)])
+def test_sample_space_only_where_it_pays(n, sample_space):
+    plan = trainer._step_plan(np.random.default_rng(0), n, ConsolidationConfig())
+    visits = sum(map(len, plan))
+    assert trainer._sample_space_pays(n, visits, 600, 200) is sample_space
+
+
+def test_sample_space_leaves_the_layer_unwritten_on_a_bad_step(monkeypatch):
+    model, _, _ = two_sessions_then_third(FusionConfig(width=8), 20, SAMPLE_SPACE)
+    W0, b0 = model.fusion.weights.copy(), model.fusion.bias.copy()
+    calls = counting_steps(monkeypatch)
+    real = trainer.swc_loss_and_grad
+    seen = []
+
+    def bad_at_third_step(*args):
+        grads = real(*args)
+        seen.append(1)
+        if len(seen) == 3:
+            grads.grad_hidden[0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(trainer, "swc_loss_and_grad", bad_at_third_step)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        model.train_session(tiny_data(num_classes=2, views=2)[0].train_batch(1, 1))
+    assert len(seen) > 3 and calls == []
+    assert np.array_equal(model.fusion.weights, W0)
+    assert np.array_equal(model.fusion.bias, b0)
 
 
 def test_checkpoint_kind_guard(tmp_path):
