@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, dataset, evaluation
-from .container import ContainerError, atomic_open
+from .container import ContainerError, atomic_open, entry
 from .dataset import FeatureTableError, IdxFormatError
 from .trainer import MODES, ConfigError, Model, RunConfig, config_field_types, run
 
@@ -34,7 +34,8 @@ IDX_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 MODE_ALIASES = {m.split("_")[0]: m for m in MODES}
-REPORT_KEYS = ("protocol.name", "config.mode", "metrics.avg_acc", "metrics.bwt")
+REPORT_KEYS = {"protocol.name": str, "config.mode": str, "metrics.avg_acc": (int, float),
+               "metrics.bwt": (int, float, type(None))}
 BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -208,19 +209,7 @@ def _report_fields(path: str) -> list:
     and bwt, in that order."""
     with open(path) as f:
         manifest = json.load(f)
-    fields = []
-    for key in REPORT_KEYS:
-        value = manifest
-        for part in key.split("."):
-            if not isinstance(value, dict) or part not in value:
-                raise ConfigError(f"manifest {path!r} has no {key}")
-            value = value[part]
-        fields.append(value)
-    for key, value in zip(REPORT_KEYS[2:], fields[2:]):
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not numeric and not (key == "metrics.bwt" and value is None):
-            raise ConfigError(f"manifest {path!r} has a non-numeric {key}: {value!r}")
-    return fields
+    return [entry(path, manifest, key, kind, ConfigError) for key, kind in REPORT_KEYS.items()]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

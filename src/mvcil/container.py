@@ -26,6 +26,7 @@ import contextlib
 import json
 import math
 import os
+import reprlib
 import secrets
 import struct
 
@@ -37,6 +38,28 @@ VERSION = 1
 
 class ContainerError(ValueError):
     """Malformed or truncated container file."""
+
+
+def entry(path: str, doc, key: str, kind, error: type[ValueError] = ContainerError):
+    """The value at the dotted `key` of the JSON document `doc` read from
+    `path` if it is of `kind`: a JSON type, list[kind] or a tuple of kinds.
+    A missing entry or one of another kind raises `error` naming both."""
+    value = doc
+    for part in key.split("."):
+        if type(value) is not dict or part not in value:
+            raise error(f"{path!r} lacks entry {key!r}")
+        value = value[part]
+    if not _of_kind(value, kind):
+        raise error(f"{path!r}: entry {key!r} is malformed: {reprlib.repr(value)}")
+    return value
+
+
+def _of_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_of_kind(value, k) for k in kind)
+    if getattr(kind, "__origin__", None) is list:
+        return type(value) is list and all(_of_kind(v, kind.__args__[0]) for v in value)
+    return type(value) is kind
 
 
 def _canonical_dtype(arr: np.ndarray) -> np.ndarray:

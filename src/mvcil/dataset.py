@@ -451,17 +451,23 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
     header, arrays = container.read_container(path)
     if header.get("kind") != "split_dataset":
         raise container.ContainerError(f"{path!r} is not a dataset cache")
+    kinds = {"batches.train": list[list[int]], "batches.test": list[list[int]],
+             "num_classes": int, "views_per_class": int, "input_dim": (int, list[int])}
+    if header.get("protocol"):
+        kinds.update({"protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
+                      "protocol.views_per_class": int, "protocol.class_order": list[int]})
+    entries = {key: container.entry(path, header, key, kind) for key, kind in kinds.items()}
     pools: dict[str, list[ViewBatch]] = {"train": [], "test": []}
     try:
         for split in ("train", "test"):
-            for i, (cid, vid) in enumerate(header["batches"][split]):
+            for i, (cid, vid) in enumerate(entries[f"batches.{split}"]):
                 pools[split].append(
                     ViewBatch(cid, vid, arrays[f"{split}/{i}/inputs"],
                               arrays[f"{split}/{i}/labels"])
                 )
-        data = SplitDataset(pools["train"], pools["test"], header["num_classes"],
-                            header["views_per_class"], header["input_dim"])
     except KeyError as exc:
         raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
+    data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
+                        entries["views_per_class"], entries["input_dim"])
     protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
     return data, protocol, header

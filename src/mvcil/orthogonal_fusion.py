@@ -3,13 +3,7 @@
 A running d x d projector P tracks the subspace spanned by all previously
 absorbed view features; fusion-layer weights are updated only along P's
 range, so new sessions do not interfere with directions already in use.
-The trainer projects each session's inputs once (Z P, exact because P is
-fixed within a session and symmetric) and hands the layer the step: on the
-per-step path one (Z P)[idx]^T delta per mini-batch (2*bs*d*h
-multiply-adds with its forward), on the sample-space path one (Z P)^T A
-per session, the deltas summed by the rows they came from (n x h), with
-steps of bs*n*h against an n x n kernel. The trainer takes sample space iff
-m*(2*d*h + m*d + T*h) < 2*T*d*h for T row visits and m = min(n, T).
+The trainer's supervised loop hands the layer steps already in that range.
 P is maintained by recursive least-squares block updates (a single row is a
 block of one), never by storing past features.
 """
@@ -106,9 +100,8 @@ class FusionLayer:
     def orthogonal_step(self, direction: np.ndarray, grad_b: np.ndarray) -> None:
         """W <- W - eta * direction and b <- b - eta * grad_b (unprojected).
 
-        The caller hands in a direction that already lies in P's range: the
-        trainer projects each session's inputs once and passes
-        (Z P)[idx]^T delta after each step, or (Z P)^T A once per session.
+        The caller hands in a direction that already lies in P's range, as
+        the trainer's (Z P)[R]^T A for a window of rows R does.
         """
         direction = np.asarray(direction, dtype=np.float64)
         grad_b = np.asarray(grad_b, dtype=np.float64)

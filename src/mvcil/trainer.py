@@ -3,17 +3,10 @@
 Each session: extract the view-optimal feature, train the fusion layer with
 projector-modulated gradient steps and the decision head with the
 consolidation penalty, then absorb the session's features into the
-projector(s). The fusion steps take one of two paths with equal results up
-to float order. The per-step path forwards each mini-batch of bs rows
-through the d x h layer and writes its step: 2*bs*d*h multiply-adds a step.
-The sample-space path forms an n x n kernel of the session's rows once,
-steps for bs*n*h each and writes the layer once, when the session ends.
-`_sample_space_pays` picks it when its multiply-add count is the smaller,
-which happens only for sessions of at most about 2d rows that the plan
-revisits. Class boundaries snapshot the anchor and fold the class's
-Fisher estimate, pooled over all of its views, into the running sum. Live
-state never grows with the number of sessions (only the head gains one
-column per class).
+projector(s); `Model._supervised_loop` states the fusion-step rule. Class
+boundaries snapshot the anchor and fold the class's Fisher estimate, pooled
+over all of its views, into the running sum. Live state never grows with
+the number of sessions (only the head gains one column per class).
 
 Modes:
     full            projector on the fusion layer + consolidated head
@@ -115,6 +108,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if type(raw) is not dict:
+            raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         raw = dict(raw)
         version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
@@ -164,15 +159,11 @@ def _step_plan(rng: np.random.Generator, n: int,
 
 
 def _sample_space_pays(n: int, visits: int, d: int, h: int) -> bool:
-    """Whether a session of n rows whose plan makes `visits` row visits
-    steps a d x h fusion layer for fewer multiply-adds in sample space.
-
-    The per-step path costs 2*visits*d*h. Sample space, over m = min(n,
-    visits) rows, costs m*2*d*h for the starting pre-activations and the
-    one final write, m*m*d for the kernel and visits*m*h for the steps.
-    With m = visits it never pays, so it is only ever taken with m = n,
-    which also bounds the kernel to about (2d)^2 entries.
-    """
+    """Whether one window over a session's rows costs a d x h layer fewer
+    multiply-adds than per-step windows, 2*visits*d*h for a plan of `visits`
+    row visits. Over m = min(n, visits) rows it costs m*2*d*h for its
+    pre-activations and write, m*m*d for its kernel and visits*m*h for its
+    steps. With m = visits it never pays, so it is only taken with m = n."""
     m = min(n, visits)
     return m * (2 * d * h + m * d + visits * h) < 2 * visits * d * h
 
@@ -300,60 +291,53 @@ class Model:
         self.session_index += 1
 
     def _supervised_loop(self, feats: np.ndarray, slot_labels: np.ndarray) -> None:
+        """The session's head and fusion steps, in windows of steps. A step
+        takes a consolidated head step on its rows' hidden activations h and
+        sets delta = dL/dh * (1 - h^2). P is fixed within a session (absorb
+        runs after this loop) and symmetric, so the step adds (Z P)[idx]^T
+        delta to W and delta's column sums to b. After a window over rows R,
+        W = W0 - eta (Z P)[R]^T A and b = b0 - eta A^T 1, row i of A summing
+        the deltas row i drew, and the pre-activations are pre0 - eta K A,
+        with pre0 = Z[R] W0 + b0 and K = Z[R] (Z P)[R]^T + 1 (the bias is an
+        unprojected input of 1). A window forms pre0 once, steps with
+        A[idx] += delta and writes the layer once. Where `_sample_space_pays`,
+        one window spans the plan and all n rows (bs*n*h a step); otherwise
+        each step is a window over its own rows, where A = 0 drops K.
+        """
         rng = np.random.default_rng(
             derive_seed(self.config.seed, 0xB5, self.session_index)
         )
         plan = _step_plan(rng, feats.shape[0], self.config.consolidation)
-        # P is fixed within a session (absorb runs after this loop) and
-        # symmetric, so P @ (x.T @ da) == (x @ P).T @ da: project the inputs
-        # once here instead of the gradient at every step. With the projector
-        # disabled P stays the identity and feats_p equals feats.
+        # with the projector disabled P stays the identity and feats_p equals feats
         feats_p = feats @ self.fusion.projector.P
         if _sample_space_pays(feats.shape[0], sum(map(len, plan)), *self.fusion.weights.shape):
-            self._sample_space_loop(feats, feats_p, slot_labels, plan)
-            return
-        for idx in plan:
-            h, dact = self.fusion.forward_with_grad(feats[idx])
-            da = self._head_step(h, slot_labels[idx]) * dact
-            self.fusion.orthogonal_step(feats_p[idx].T @ da, da.sum(axis=0))
-
-    def _sample_space_loop(self, feats: np.ndarray, feats_p: np.ndarray,
-                           slot_labels: np.ndarray, plan: list[np.ndarray]) -> None:
-        """The same steps with the layer frozen until the session ends.
-
-        Every step adds (Z P)[idx]^T delta to W and delta's column sums to b,
-        so after any number of steps W = W0 - eta (Z P)^T A and
-        b = b0 - eta A^T 1, where row i of A (n x h) sums the deltas row i
-        has drawn. A row's pre-activation is then pre0 - eta K A with
-        pre0 = Z W0 + b0 and the kernel K = Z (Z P)^T + 1 (the bias is a
-        constant input of 1, never projected). A step costs bs*n*h instead
-        of the per-step path's 2*bs*d*h, and the layer is written once.
-        """
-        eta = self.fusion.eta
-        pre = feats @ self.fusion.weights + self.fusion.bias
-        kernel = feats @ feats_p.T
-        kernel += 1.0
-        acc = np.zeros_like(pre)
-        for idx in plan:
-            h = np.tanh(pre[idx] - eta * (kernel[idx] @ acc))
-            # a permutation's slice: no row repeats within idx
-            acc[idx] += self._head_step(h, slot_labels[idx]) * (1.0 - h * h)
-        self.fusion.orthogonal_step(feats_p.T @ acc, acc.sum(axis=0))
-
-    def _head_step(self, h: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """One consolidated head step on a mini-batch's hidden activations;
-        returns the loss gradient with respect to them."""
-        grads = swc_loss_and_grad(self.head, h, labels)
-        if not np.isfinite(grads.loss):
-            raise FloatingPointError(
-                f"non-finite loss at session {self.session_index}"
-            )
-        if self.head_projector is not None:
-            step_w = self.head_projector.P @ grads.grad_w
+            windows = [(slice(None), plan)]
         else:
-            step_w = grads.grad_w
-        self.head.weights -= self.config.consolidation.head_lr * step_w
-        return grads.grad_hidden
+            windows = [(idx, [slice(None)]) for idx in plan]
+        eta = self.fusion.eta
+        for rows, steps in windows:
+            z, z_p, labels = feats[rows], feats_p[rows], slot_labels[rows]
+            pre = z @ self.fusion.weights + self.fusion.bias
+            acc = np.zeros_like(pre)
+            kernel = None
+            if len(steps) > 1:
+                kernel = z @ z_p.T
+                kernel += 1.0
+            for idx in steps:
+                h = np.tanh(pre[idx] if kernel is None else pre[idx] - eta * (kernel[idx] @ acc))
+                grads = swc_loss_and_grad(self.head, h, labels[idx])
+                if not np.isfinite(grads.loss):
+                    raise FloatingPointError(
+                        f"non-finite loss at session {self.session_index}"
+                    )
+                if self.head_projector is not None:
+                    step_w = self.head_projector.P @ grads.grad_w
+                else:
+                    step_w = grads.grad_w
+                self.head.weights -= self.config.consolidation.head_lr * step_w
+                # a permutation's slice: no row repeats within idx
+                acc[idx] += grads.grad_hidden * (1.0 - h * h)
+            self.fusion.orthogonal_step(z_p.T @ acc, acc.sum(axis=0))
 
     def _finish_class(self) -> None:
         if self.head.mu > 0 and self._pending_fisher is not None:
@@ -402,9 +386,11 @@ class Model:
         if header.get("kind") != "checkpoint":
             raise container.ContainerError(f"{path!r} is not a checkpoint")
         try:
-            config = RunConfig.from_dict(header["config"])
+            config = RunConfig.from_dict(container.entry(path, header, "config", dict))
             model = cls(config)
-            model.slot_to_class = list(header["slot_to_class"])
+            slots = model.slot_to_class = container.entry(path, header, "slot_to_class", list[int])
+            if min(slots, default=0) < 0 or len(set(slots)) < len(slots):
+                raise container.ContainerError(f"{path!r}: slot_to_class repeats or is < 0")
             # a fresh model fixes every shape but the head's: one column per
             # slot, of which the anchor covers the classes consolidated so far
             head_shape = (config.fusion.width, len(model.slot_to_class))
@@ -426,10 +412,10 @@ class Model:
             for name, owner, attr in model._state():
                 setattr(owner, attr, arrays[name])
             if "head/pending_fisher" in arrays:
-                model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"],
-                                                       header["pending_fisher_samples"])
-            model.session_index = header["session_index"]
-            for dim in header["encoder_dims"]:
+                samples = container.entry(path, header, "pending_fisher_samples", int)
+                model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"], samples)
+            model.session_index = container.entry(path, header, "session_index", int)
+            for dim in container.entry(path, header, "encoder_dims", list[int]):
                 model.encoder_for(dim)
         except KeyError as exc:
             raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc

@@ -280,15 +280,29 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     write_container(no_anchor, header, {k: v for k, v in arrays.items() if k != "head/anchor"})
     no_slots = str(tmp_path / "no_slots.mvcl")
     write_container(no_slots, {k: v for k, v in header.items() if k != "slot_to_class"}, arrays)
-    for path, entry in ((no_anchor, "head/anchor"), (no_slots, "slot_to_class")):
+    bad = [(no_anchor, "head/anchor"), (no_slots, "slot_to_class")]
+    # header entries of the wrong kind
+    for entry in ("slot_to_class", "encoder_dims"):
+        bad.append((str(tmp_path / f"{entry}.mvcl"), entry))
+        write_container(bad[-1][0], {**header, entry: 5}, arrays)
+    for path, entry in bad:
         assert main(["eval", "--checkpoint", path, "--cache", cache]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert path in err and entry in err
     header, arrays = read_container(cache)
     no_inputs = str(tmp_path / "no_inputs.mvcl")
     write_container(no_inputs, header, {k: v for k, v in arrays.items() if k != "test/0/inputs"})
-    assert main(["train", "--cache", no_inputs, *sets()]) == EXIT_CONFIG
-    assert "test/0/inputs" in capsys.readouterr().err
+    bad = [(no_inputs, "test/0/inputs")]
+    for entry, change in (("batches.train", {"batches": {**header["batches"], "train": 5}}),
+                          ("num_classes", {"num_classes": "3"}),
+                          ("protocol.class_order",
+                           {"protocol": {**header["protocol"], "class_order": 7}})):
+        bad.append((str(tmp_path / f"{entry}.mvcl"), entry))
+        write_container(bad[-1][0], {**header, **change}, arrays)
+    for path, entry in bad:
+        assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert path in err and entry in err
     blob = (tmp_path / "run1" / "checkpoint.mvcl").read_bytes()
     bad_dtype = tmp_path / "bad_dtype.mvcl"
     bad_dtype.write_bytes(blob.replace(b"<f8", b"zzz", 1))

@@ -206,7 +206,8 @@ def tiny_checkpoint(tmp_path_factory):
 
 
 # (id, corruption of (header, head weights) -> (header changes, array
-# changes), the start of the error: the array it names and what is wrong)
+# changes), the start of the error: the array or header entry it names and
+# what is wrong)
 CORRUPT_CHECKPOINTS = [
     ("slot-without-head-column",
      lambda header, w: ({"slot_to_class": header["slot_to_class"] + [9]}, {}),
@@ -229,6 +230,14 @@ CORRUPT_CHECKPOINTS = [
     # the right shape, but the weights truncated to integers
     ("int-head-weights", lambda header, w: ({}, {"head/weights": w.astype(np.int64)}),
      "head/weights has dtype int64"),
+    # header entries of the wrong kind, and slot ids that repeat
+    ("list-config", lambda header, w: ({"config": []}, {}), "entry 'config' is malformed"),
+    ("int-slots", lambda header, w: ({"slot_to_class": 5}, {}),
+     "entry 'slot_to_class' is malformed"),
+    ("int-encoder-dims", lambda header, w: ({"encoder_dims": 5}, {}),
+     "entry 'encoder_dims' is malformed"),
+    ("repeated-slots", lambda header, w: ({"slot_to_class": [0] * w.shape[1]}, {}),
+     "slot_to_class repeats or is < 0"),
 ]
 
 
@@ -366,24 +375,31 @@ def counting_steps(monkeypatch):
     return calls
 
 
-# the budget binds at 7 steps; at 20 the epochs run out first, after 9
-@pytest.mark.parametrize("encoder, max_steps, steps", [
-    pytest.param(PER_STEP, 7, 7, id="7-7"),
-    pytest.param(PER_STEP, 20, 9, id="20-9"),
-    pytest.param(SAMPLE_SPACE, 7, 7, id="sample-space-7-7"),
-    pytest.param(SAMPLE_SPACE, 20, 9, id="sample-space-20-9"),
+# the budget binds at 7 steps; at 20 the epochs run out first, after 9.
+# forced: `_sample_space_pays` gives the opposite answer, so each encoder
+# runs both window shapes (one window per step, or one over the whole plan)
+@pytest.mark.parametrize("encoder, max_steps, steps, forced", [
+    pytest.param(encoder, max_steps, steps, forced, id=name + "-forced" * forced)
+    for encoder, max_steps, steps, name in [(PER_STEP, 7, 7, "7-7"), (PER_STEP, 20, 9, "20-9"),
+                                            (SAMPLE_SPACE, 7, 7, "sample-space-7-7"),
+                                            (SAMPLE_SPACE, 20, 9, "sample-space-20-9")]
+    for forced in (False, True)
 ])
 def test_session_projection_matches_per_step_projection(monkeypatch, encoder, max_steps,
-                                                        steps):
+                                                        steps, forced):
     model, feats, labels = two_sessions_then_third(FusionConfig(width=8), max_steps, encoder)
     d = encoder.n * encoder.L
     assert not np.allclose(model.fusion.projector.P, np.eye(d))
     ref = copy.deepcopy(model)
     W0 = model.fusion.weights.copy()
+    whole_plan = (encoder is SAMPLE_SPACE) != forced
+    if forced:
+        pays = trainer._sample_space_pays
+        monkeypatch.setattr(trainer, "_sample_space_pays", lambda *args: not pays(*args))
     calls = counting_steps(monkeypatch)
     model._supervised_loop(feats, labels)
     assert per_step_projection_loop(ref, feats, labels, project=True) == steps
-    assert len(calls) == (1 if encoder is SAMPLE_SPACE else steps)
+    assert len(calls) == (1 if whole_plan else steps)
     assert not np.allclose(model.fusion.weights, W0)
     for got, want in ((model.fusion.weights, ref.fusion.weights),
                       (model.fusion.bias, ref.fusion.bias),
@@ -418,7 +434,8 @@ def test_disabled_projector_steps_by_plain_descent(monkeypatch, encoder):
 
 # the benchmark's layer (d = 600, width 200) under the default step plan
 @pytest.mark.parametrize("n, sample_space", [(64, True), (128, True), (600, True),
-                                             (1500, False), (4000, False)])
+                                             (640, True), (641, False), (1500, False),
+                                             (4000, False)])
 def test_sample_space_only_where_it_pays(n, sample_space):
     plan = trainer._step_plan(np.random.default_rng(0), n, ConsolidationConfig())
     visits = sum(map(len, plan))
@@ -466,6 +483,8 @@ def test_config_round_trip_and_rejects_unknown():
         RunConfig.from_dict({"nope": 1})
     with pytest.raises(ConfigError, match="must be an object"):
         RunConfig.from_dict({"fusion": 3})
+    with pytest.raises(ConfigError, match="config must be an object"):
+        RunConfig.from_dict([])
     with pytest.raises(ConfigError, match="schema_version"):
         RunConfig.from_dict({"schema_version": 99})
     # the decoder always fits the linear codes; the old knob is gone
