@@ -42,7 +42,8 @@ class ContainerError(ValueError):
 
 def entry(path: str, doc, key: str, kind, error: type[ValueError] = ContainerError):
     """The value at the dotted `key` of the JSON document `doc` read from
-    `path` if it is of `kind`: a JSON type, list[kind] or a tuple of kinds.
+    `path` if it is of `kind`: a JSON type, list[kind], dict[str, kind] (an
+    object whose values are all of kind) or a tuple of kinds.
     A missing entry or one of another kind raises `error` naming both."""
     value = doc
     for part in key.split("."):
@@ -57,8 +58,10 @@ def entry(path: str, doc, key: str, kind, error: type[ValueError] = ContainerErr
 def _of_kind(value, kind) -> bool:
     if isinstance(kind, tuple):
         return any(_of_kind(value, k) for k in kind)
-    if getattr(kind, "__origin__", None) is list:
-        return type(value) is list and all(_of_kind(v, kind.__args__[0]) for v in value)
+    origin = getattr(kind, "__origin__", None)
+    if origin in (list, dict):
+        items = value.values() if type(value) is dict else value
+        return type(value) is origin and all(_of_kind(v, kind.__args__[-1]) for v in items)
     return type(value) is kind
 
 

@@ -10,7 +10,9 @@ ViewBatch sessions under a seeded class order.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -95,15 +97,16 @@ class StreamProtocol:
 
     def to_dict(self) -> dict:
         """JSON-ready form, as stored in dataset caches and run manifests."""
-        return {
-            "name": self.name,
-            "num_classes": self.num_classes,
-            "views_per_class": self.views_per_class,
-            "class_order": list(self.class_order),
-            "seed": self.seed,
-            "heldout_views": {str(c): sorted(v) for c, v in self.heldout_views.items()}
-            if self.heldout_views else None,
-        }
+        held = self.heldout_views
+        return {**dataclasses.asdict(self), "class_order": list(self.class_order),
+                "heldout_views": {str(c): sorted(v) for c, v in held.items()} if held else None}
+
+    def sessions(self) -> list[tuple[int, int]]:
+        """The streamed (class, view) pairs: class-major under class_order,
+        view-minor, held-out pairs skipped."""
+        held = self.heldout_views or {}
+        return [(c, v) for c in self.class_order for v in range(self.views_per_class)
+                if v not in held.get(c, ())]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StreamProtocol":
@@ -111,6 +114,11 @@ class StreamProtocol:
         return cls(raw["name"], raw["num_classes"], raw["views_per_class"],
                    tuple(raw["class_order"]), raw["seed"],
                    {int(c): frozenset(v) for c, v in held.items()} if held else None)
+
+
+def derive_seed(*parts: int) -> np.random.SeedSequence:
+    """One independent random stream per tuple of integer parts."""
+    return np.random.SeedSequence([int(p) for p in parts])
 
 
 def make_protocol(
@@ -121,7 +129,7 @@ def make_protocol(
     heldout_views: Mapping[int, Sequence[int]] | None = None,
 ) -> StreamProtocol:
     """Protocol with a seeded random class order (recorded, reproducible)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5747]))
+    rng = np.random.default_rng(derive_seed(seed, 0x5747))
     order = tuple(int(i) for i in rng.permutation(num_classes))
     held = None
     if heldout_views:
@@ -180,15 +188,14 @@ def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
             raise IdxFormatError(
                 f"{what} file {path!r}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
             )
+        shape = (count,)
         if expected_magic == IDX_IMAGES_MAGIC:
             dims_raw = f.read(8)
             if len(dims_raw) < 8:
                 raise IdxFormatError(f"{what} file {path!r}: truncated dimension fields")
             rows, cols = struct.unpack(">II", dims_raw)
-            expected = count * rows * cols
-        else:
-            rows = cols = 0
-            expected = count
+            shape = (count, rows * cols)
+        expected = math.prod(shape)
         data = f.read()
         if len(data) != expected:
             problem = ("the file has trailing bytes" if len(data) > expected
@@ -196,10 +203,7 @@ def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
             raise IdxFormatError(
                 f"{what} file {path!r}: count field says {count} items but {problem}"
             )
-        arr = np.frombuffer(data, dtype=np.uint8)
-        if expected_magic == IDX_IMAGES_MAGIC:
-            return arr.reshape(count, rows * cols)
-        return arr
+        return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
 def _is_gzip(path: str) -> bool:
@@ -236,19 +240,22 @@ def split_by_class(
                       ("max_test_per_class", max_test_per_class)):
         if cap is not None and cap < 1:
             raise ValueError(f"{name} must be >= 1, got {cap}")
-    train, test = [], []
+    train_rows, test_rows = (
+        [np.flatnonzero(y == c)[:cap] for c in range(num_classes)]
+        for y, cap in ((train_y, max_train_per_class), (test_y, max_test_per_class))
+    )
     for c in range(num_classes):
-        for pool_X, pool_y, out, cap in (
-            (train_X, train_y, train, max_train_per_class),
-            (test_X, test_y, test, max_test_per_class),
-        ):
-            idx = np.flatnonzero(pool_y == c)
-            if idx.size == 0:
-                raise ValueError(f"class {c} has no samples in one of the splits")
-            if cap is not None:
-                idx = idx[:cap]
-            out.append(ViewBatch(c, 0, pool_X[idx].copy(), np.full(idx.size, c, np.int64)))
-    return SplitDataset(train, test, num_classes, 1, train_X.shape[1])
+        if train_rows[c].size == 0 or test_rows[c].size == 0:
+            raise ValueError(f"class {c} has no samples in one of the splits")
+    return SplitDataset(_class_batches([train_X], train_rows), _class_batches([test_X], test_rows),
+                        num_classes, 1, train_X.shape[1])
+
+
+def _class_batches(views: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> list[ViewBatch]:
+    """Batch (c, v) holds views[v][rows[c]], labelled c; listed class-major.
+    Index selection copies, so every batch owns its inputs."""
+    return [ViewBatch(c, v, table[idx], np.full(idx.size, c, np.int64))
+            for c, idx in enumerate(rows) for v, table in enumerate(views)]
 
 
 def _derive_views(
@@ -277,7 +284,7 @@ def make_permuted_views(base: SplitDataset, num_views: int, seed: int) -> SplitD
     if num_views > MAX_PERMUTED_VIEWS:
         raise ValueError(f"num_views {num_views} exceeds cap {MAX_PERMUTED_VIEWS}")
     dim = base.input_dim[0]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3B]))
+    rng = np.random.default_rng(derive_seed(seed, 0x9E3B))
     perms = [rng.permutation(dim) for _ in range(num_views - 1)]
     return _derive_views(
         base, num_views, lambda v, b: b.inputs[:, perms[v - 1]] if v else b.inputs, dim
@@ -305,11 +312,6 @@ def make_synthesized_views(
     )
 
 
-def derive_seed(*parts: int) -> np.random.SeedSequence:
-    """One independent random stream per tuple of integer parts."""
-    return np.random.SeedSequence([int(p) for p in parts])
-
-
 def load_feature_views(
     paths: Sequence[str],
     labels_path: str,
@@ -330,11 +332,9 @@ def load_feature_views(
     labels_raw = _load_table(labels_path)
     if labels_raw.shape[1] != 1:
         raise FeatureTableError(f"labels file {labels_path!r} must have one column")
-    labels_raw = labels_raw[:, 0]
-    uniq = np.unique(labels_raw)
-    label_of = {val: i for i, val in enumerate(uniq.tolist())}
-    labels = np.array([label_of[v] for v in labels_raw.tolist()], dtype=np.int64)
-    num_classes = len(uniq)
+    if not np.all(np.isfinite(labels_raw)):
+        raise FeatureTableError(f"labels file {labels_path!r} holds a non-finite label")
+    uniq, labels = np.unique(labels_raw[:, 0], return_inverse=True)
 
     views = []
     for p in paths:
@@ -345,9 +345,9 @@ def load_feature_views(
             )
         views.append(table)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFE47]))
-    train, test = [], []
-    for c in range(num_classes):
+    rng = np.random.default_rng(derive_seed(seed, 0xFE47))
+    train_rows, test_rows = [], []
+    for c in range(uniq.size):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
         n_train = max(1, int(round(train_fraction * idx.size)))
@@ -355,39 +355,31 @@ def load_feature_views(
             n_train = idx.size - 1
         if n_train < 1:
             raise ValueError(f"class {c} has too few samples ({idx.size}) to split")
-        for v, table in enumerate(views):
-            train.append(ViewBatch(c, v, table[idx[:n_train]].copy(),
-                                   np.full(n_train, c, np.int64)))
-            test.append(ViewBatch(c, v, table[idx[n_train:]].copy(),
-                                  np.full(idx.size - n_train, c, np.int64)))
-    return SplitDataset(train, test, num_classes, len(views), tuple(t.shape[1] for t in views))
+        train_rows.append(idx[:n_train])
+        test_rows.append(idx[n_train:])
+    return SplitDataset(_class_batches(views, train_rows), _class_batches(views, test_rows),
+                        uniq.size, len(views), tuple(t.shape[1] for t in views))
 
 
 def _load_table(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f]
-    lines = [ln for ln in lines if ln]
+        lines = [ln for ln in map(str.strip, f) if ln]
     if not lines:
         raise FeatureTableError(f"{path!r} is empty")
     delim = "," if "," in lines[0] else None
-    rows = []
-    width = None
+    table = np.empty((len(lines), len(lines[0].split(delim))))
     for i, ln in enumerate(lines):
-        cells = ln.split(delim) if delim else ln.split()
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        cells = ln.split(delim)
+        if len(cells) != table.shape[1]:
             raise FeatureTableError(
-                f"{path!r} row {i}: expected {width} columns, got {len(cells)}"
+                f"{path!r} row {i}: expected {table.shape[1]} columns, got {len(cells)}"
             )
-        row = []
         for j, cell in enumerate(cells):
             try:
-                row.append(float(cell))
+                table[i, j] = float(cell)
             except ValueError as exc:
                 raise FeatureTableError(f"{path!r} row {i}, column {j}: not numeric") from exc
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+    return table
 
 
 def zscore_views(data: SplitDataset) -> SplitDataset:
@@ -405,8 +397,7 @@ def zscore_views(data: SplitDataset) -> SplitDataset:
 
 
 def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[ViewBatch]:
-    """Yield training sessions class-major (under class_order), view-minor,
-    skipping held-out (class, view) pairs."""
+    """Yield the training batch of each of `protocol.sessions()` in turn."""
     if protocol.num_classes != data.num_classes:
         raise ValueError(
             f"protocol has {protocol.num_classes} classes, dataset has {data.num_classes}"
@@ -415,13 +406,8 @@ def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[Vi
         raise ValueError(
             f"protocol has {protocol.views_per_class} views, dataset has {data.views_per_class}"
         )
-    held = protocol.heldout_views or {}
-    for c in protocol.class_order:
-        skip = held.get(c, frozenset())
-        for v in range(protocol.views_per_class):
-            if v in skip:
-                continue
-            yield data.train_batch(c, v)
+    for c, v in protocol.sessions():
+        yield data.train_batch(c, v)
 
 
 def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = None) -> None:
@@ -455,7 +441,8 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
              "num_classes": int, "views_per_class": int, "input_dim": (int, list[int])}
     if header.get("protocol"):
         kinds.update({"protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
-                      "protocol.views_per_class": int, "protocol.class_order": list[int]})
+                      "protocol.views_per_class": int, "protocol.class_order": list[int],
+                      "protocol.heldout_views": (type(None), dict[str, list[int]])})
     entries = {key: container.entry(path, header, key, kind) for key, kind in kinds.items()}
     pools: dict[str, list[ViewBatch]] = {"train": [], "test": []}
     try:
@@ -470,4 +457,8 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
     data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
                         entries["views_per_class"], entries["input_dim"])
     protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
+    streamed = set(protocol.sessions()) if protocol else set()
+    if missing := streamed - set(map(tuple, entries["batches.train"])):
+        raise container.ContainerError(f"{path!r} lacks the training batches of the (class, view) "
+                                       f"pairs {sorted(missing)} that its protocol streams")
     return data, protocol, header

@@ -178,6 +178,12 @@ def test_prepare_zscore_and_heldout(tmp_path, capsys):
     stacked = np.concatenate(
         [b.inputs for b in data.train if b.view_id == 0], axis=0)
     assert np.allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
+    # a held-out pair is never streamed, so a cache may lack its training batch
+    lean = str(tmp_path / "lean.mvcl")
+    save_split(lean, SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (0, 1)],
+                                  data.test, data.num_classes, data.views_per_class,
+                                  data.input_dim), protocol)
+    assert len(load_split(lean)[0].train) == 3 * 2 - 1
     run_dir = str(tmp_path / "run_held")
     rc = main(["train", "--cache", cache, "--out", run_dir, *sets()])
     assert rc == EXIT_OK
@@ -293,12 +299,21 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     no_inputs = str(tmp_path / "no_inputs.mvcl")
     write_container(no_inputs, header, {k: v for k, v in arrays.items() if k != "test/0/inputs"})
     bad = [(no_inputs, "test/0/inputs")]
-    for entry, change in (("batches.train", {"batches": {**header["batches"], "train": 5}}),
-                          ("num_classes", {"num_classes": "3"}),
-                          ("protocol.class_order",
-                           {"protocol": {**header["protocol"], "class_order": 7}})):
-        bad.append((str(tmp_path / f"{entry}.mvcl"), entry))
+    held = [("protocol.heldout_views", {"protocol": {**header["protocol"], "heldout_views": v}})
+            for v in ({"0": 5}, {"0": ["a"]}, [1, 2])]
+    for i, (entry, change) in enumerate([
+            ("batches.train", {"batches": {**header["batches"], "train": 5}}),
+            ("num_classes", {"num_classes": "3"}),
+            ("protocol.class_order", {"protocol": {**header["protocol"], "class_order": 7}}),
+            *held]):
+        bad.append((str(tmp_path / f"header{i}.mvcl"), entry))
         write_container(bad[-1][0], {**header, **change}, arrays)
+    # the protocol streams class 0, view 1, but the cache has no training batch for it
+    data, protocol, _ = load_split(cache)
+    bad.append((str(tmp_path / "gappy.mvcl"), "(0, 1)"))
+    save_split(bad[-1][0], SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (0, 1)],
+                                        data.test, data.num_classes, data.views_per_class,
+                                        data.input_dim), protocol)
     for path, entry in bad:
         assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
         err = capsys.readouterr().err

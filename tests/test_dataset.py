@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mvcil import container
+from mvcil import container, dataset
 from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -37,6 +37,15 @@ def toy_base(num_classes=2, dim=8, n_train=5, n_test=3, seed=0):
         test.append(ViewBatch(c, 0, rng.standard_normal((n_test, dim)),
                               np.full(n_test, c, np.int64)))
     return SplitDataset(train, test, num_classes, 1, dim)
+
+
+def assert_batches_own_inputs(batches, sources):
+    """No batch's inputs or labels share memory with a source array or
+    with another batch's."""
+    arrays = [a for b in batches for a in (b.inputs, b.labels)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, src) for src in sources)
+        assert not any(np.shares_memory(a, other) for other in arrays[i + 1:])
 
 
 def write_idx_images(path, images, gzipped=False):
@@ -216,6 +225,8 @@ def test_split_by_class_caps_take_first_in_file_order():
     assert test_b.inputs[0, 0] == 0.1
     uncapped = split_by_class(X, y, X, y, 2)
     assert uncapped.train_batch(0, 0).num_samples == 5
+    for split in (data, uncapped):
+        assert_batches_own_inputs(split.train + split.test, [X, y])
 
 
 def test_split_by_class_refuses_caps_below_one():
@@ -299,7 +310,14 @@ def test_synthesized_views_shapes_and_determinism():
         make_synthesized_views(base, 0, cfg, seed=0)
 
 
-def test_feature_tables_round_trip_and_remap(tmp_path):
+def test_feature_tables_round_trip_and_remap(tmp_path, monkeypatch):
+    tables = []
+
+    def record(path, load=dataset._load_table):
+        tables.append(load(path))
+        return tables[-1]
+
+    monkeypatch.setattr(dataset, "_load_table", record)
     (tmp_path / "v0.csv").write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,8.0\n")
     (tmp_path / "v1.txt").write_text("10 0\n20 0\n30 0\n40 0\n")
     (tmp_path / "y.txt").write_text("7\n3\n7\n3\n")
@@ -316,6 +334,8 @@ def test_feature_tables_round_trip_and_remap(tmp_path):
     assert np.array_equal(got[np.argsort(got[:, 0])], np.array([[3.0, 4.0], [7.0, 8.0]]))
     for b in data.train + data.test:
         assert b.num_samples == 1  # 2 per class split half train, half test
+    assert len(tables) == 3  # the labels file and both views
+    assert_batches_own_inputs(data.train + data.test, tables)
     same = load_feature_views(
         [str(tmp_path / "v0.csv"), str(tmp_path / "v1.txt")],
         str(tmp_path / "y.txt"), train_fraction=0.5, seed=0,
@@ -360,6 +380,12 @@ def test_feature_table_errors(tmp_path):
     short_y.write_text("0\n1\n0\n")
     with pytest.raises(FeatureTableError, match="2 rows but labels file has 3"):
         load_feature_views([str(ok)], str(short_y))
+    for word in ("nan", "inf"):
+        odd_y = tmp_path / f"{word}.txt"
+        odd_y.write_text(f"0\n{word}\n")
+        with pytest.raises(FeatureTableError, match="holds a non-finite label") as exc:
+            load_feature_views([str(ok)], str(odd_y))
+        assert str(odd_y) in str(exc.value)
     with pytest.raises(ValueError, match="at least one feature file"):
         load_feature_views([], str(y))
     with pytest.raises(ValueError, match="train_fraction"):
