@@ -41,9 +41,9 @@ class ContainerError(ValueError):
 
 
 def entry(path: str, doc, key: str, kind, error: type[ValueError] = ContainerError):
-    """The value at the dotted `key` of the JSON document `doc` read from
-    `path` if it is of `kind`: a JSON type, list[kind], dict[str, kind] (an
-    object whose values are all of kind) or a tuple of kinds.
+    """The value at dotted `key` of JSON document `doc` (read from `path`) if
+    of `kind`: a JSON type, list[kind], tuple[k0, k1, ...] (a list, item i of
+    kind ki), dict[str, kind] (an object of kind values) or a tuple of kinds.
     A missing entry or one of another kind raises `error` naming both."""
     value = doc
     for part in key.split("."):
@@ -59,6 +59,9 @@ def _of_kind(value, kind) -> bool:
     if isinstance(kind, tuple):
         return any(_of_kind(value, k) for k in kind)
     origin = getattr(kind, "__origin__", None)
+    if origin is tuple:
+        return (type(value) is list and len(value) == len(kind.__args__)
+                and all(map(_of_kind, value, kind.__args__)))
     if origin in (list, dict):
         items = value.values() if type(value) is dict else value
         return type(value) is origin and all(_of_kind(v, kind.__args__[-1]) for v in items)

@@ -108,6 +108,18 @@ class StreamProtocol:
         return [(c, v) for c in self.class_order for v in range(self.views_per_class)
                 if v not in held.get(c, ())]
 
+    def check(self, data: "SplitDataset") -> None:
+        """Refuse a dataset that cannot run this stream; reads batch ids only."""
+        for what, mine, theirs in (("classes", self.num_classes, data.num_classes),
+                                   ("views", self.views_per_class, data.views_per_class)):
+            if mine != theirs:
+                raise ValueError(f"protocol has {mine} {what}, dataset has {theirs}")
+        if missing := set(self.sessions()) - {(b.class_id, b.view_id) for b in data.train}:
+            raise ValueError(f"the dataset lacks the training batches of the (class, view) "
+                             f"pairs {sorted(missing)} that the protocol streams")
+        if untested := sorted(set(self.class_order) - {b.class_id for b in data.test}):
+            raise ValueError(f"no test samples for classes {untested}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "StreamProtocol":
         held = raw.get("heldout_views")
@@ -332,8 +344,6 @@ def load_feature_views(
     labels_raw = _load_table(labels_path)
     if labels_raw.shape[1] != 1:
         raise FeatureTableError(f"labels file {labels_path!r} must have one column")
-    if not np.all(np.isfinite(labels_raw)):
-        raise FeatureTableError(f"labels file {labels_path!r} holds a non-finite label")
     uniq, labels = np.unique(labels_raw[:, 0], return_inverse=True)
 
     views = []
@@ -379,6 +389,8 @@ def _load_table(path: str) -> np.ndarray:
                 table[i, j] = float(cell)
             except ValueError as exc:
                 raise FeatureTableError(f"{path!r} row {i}, column {j}: not numeric") from exc
+            if not math.isfinite(table[i, j]):
+                raise FeatureTableError(f"{path!r} row {i}, column {j}: not finite")
     return table
 
 
@@ -397,15 +409,8 @@ def zscore_views(data: SplitDataset) -> SplitDataset:
 
 
 def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[ViewBatch]:
-    """Yield the training batch of each of `protocol.sessions()` in turn."""
-    if protocol.num_classes != data.num_classes:
-        raise ValueError(
-            f"protocol has {protocol.num_classes} classes, dataset has {data.num_classes}"
-        )
-    if protocol.views_per_class != data.views_per_class:
-        raise ValueError(
-            f"protocol has {protocol.views_per_class} views, dataset has {data.views_per_class}"
-        )
+    """`protocol.check(data)`, then the training batch of each of `protocol.sessions()`."""
+    protocol.check(data)
     for c, v in protocol.sessions():
         yield data.train_batch(c, v)
 
@@ -437,7 +442,7 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
     header, arrays = container.read_container(path)
     if header.get("kind") != "split_dataset":
         raise container.ContainerError(f"{path!r} is not a dataset cache")
-    kinds = {"batches.train": list[list[int]], "batches.test": list[list[int]],
+    kinds = {"batches.train": list[tuple[int, int]], "batches.test": list[tuple[int, int]],
              "num_classes": int, "views_per_class": int, "input_dim": (int, list[int])}
     if header.get("protocol"):
         kinds.update({"protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
@@ -456,9 +461,10 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
         raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
     data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
                         entries["views_per_class"], entries["input_dim"])
-    protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
-    streamed = set(protocol.sessions()) if protocol else set()
-    if missing := streamed - set(map(tuple, entries["batches.train"])):
-        raise container.ContainerError(f"{path!r} lacks the training batches of the (class, view) "
-                                       f"pairs {sorted(missing)} that its protocol streams")
+    try:
+        protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
+        if protocol:
+            protocol.check(data)
+    except ValueError as exc:
+        raise container.ContainerError(f"{path!r}, entry 'protocol': {exc}") from exc
     return data, protocol, header

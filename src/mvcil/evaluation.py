@@ -54,13 +54,13 @@ def evaluate_classes(model, test_batches, classes_seen) -> list[float]:
     `classes_seen` holds the class ids in arrival order. `model` exposes
     predict_labels(batch) -> predicted class ids; predictions range over all
     seen classes jointly (no task identity is passed). A class's accuracy
-    pools all its test views' samples equally. Classes with no test samples
-    get nan (caller masks the cell).
+    pools all its test views' samples equally.
     """
     seen = set(classes_seen)
     tally = _tally(model, [b for b in test_batches if b.class_id in seen])
-    return [hits / n if n else float("nan")
-            for hits, n in (tally.get(c, (0, 0)) for c in classes_seen)]
+    if untested := [c for c in classes_seen if c not in tally]:
+        raise ValueError(f"no test samples for classes {untested}")
+    return [hits / n for hits, n in map(tally.get, classes_seen)]
 
 
 def avg_acc(matrix: AccuracyMatrix) -> float:

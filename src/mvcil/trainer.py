@@ -72,8 +72,6 @@ class ConsolidationConfig:
         check("consolidation", self)
 
 
-SECTIONS = {"encoder": ExtractionConfig, "fusion": FusionConfig,
-            "consolidation": ConsolidationConfig}
 # keys earlier versions wrote, each accepted only at the value the code now
 # always uses, so their checkpoints and manifests still load
 RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
@@ -127,11 +125,15 @@ class RunConfig:
                 kwargs[key] = SECTIONS[key](**value)
             elif _retired(key, value):
                 continue
-            elif key in ("seed", "mode"):
+            elif key in {f.name for f in dataclasses.fields(cls)}:
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(**kwargs)
+
+
+# the settings sections: RunConfig's fields that `setting` does not declare
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig) if not f.metadata}
 
 
 def config_field_types() -> dict[str, type]:
@@ -249,15 +251,11 @@ class Model:
                 f"out-of-order session: class {cid} reappeared after "
                 f"class {self.slot_to_class[-1]}"
             )
+        feats = self.extract(batch)
         if new_class:
             self._finish_class()
             expand_head(self.head)
             self.slot_to_class.append(cid)
-        # an earlier class never returns, so the session trains the newest slot
-        slot = len(self.slot_to_class) - 1
-
-        feats = self.extract(batch)
-        if new_class:
             # seed the fresh column with the class's mean hidden direction,
             # scaled so its mean logit starts near IMPRINT_SCALE. A zero
             # column never trains when the class arrives alone (single-class
@@ -266,7 +264,9 @@ class Model:
             m = self.fusion.forward(feats).mean(axis=0)
             energy = float(m @ m)
             if energy > 0.0:
-                self.head.weights[:, slot] = m * (IMPRINT_SCALE / energy)
+                self.head.weights[:, -1] = m * (IMPRINT_SCALE / energy)
+        # an earlier class never returns, so the session trains the newest slot
+        slot = len(self.slot_to_class) - 1
         slot_labels = np.full(batch.num_samples, slot, dtype=np.int64)
         self._supervised_loop(feats, slot_labels)
 
@@ -462,8 +462,6 @@ def run(
                 timings.append(time.perf_counter() - start)
             row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
             for slot, acc in enumerate(row):
-                if np.isnan(acc):
-                    continue
                 matrix.set_cell(len(model.slot_to_class) - 1, slot, acc,
                                 test_samples[model.slot_to_class[slot]])
             if report_path:

@@ -301,8 +301,15 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     bad = [(no_inputs, "test/0/inputs")]
     held = [("protocol.heldout_views", {"protocol": {**header["protocol"], "heldout_views": v}})
             for v in ({"0": 5}, {"0": ["a"]}, [1, 2])]
+    # well-kinded protocol values that make no StreamProtocol
+    held += [("'protocol'", {"protocol": {**header["protocol"], key: v}})
+             for key, v in (("heldout_views", {"x": [1]}), ("class_order", [0, 0, 1]))]
     for i, (entry, change) in enumerate([
             ("batches.train", {"batches": {**header["batches"], "train": 5}}),
+            ("batches.train", {"batches": {**header["batches"],
+                                           "train": [[0], *header["batches"]["train"][1:]]}}),
+            ("batches.test", {"batches": {**header["batches"],
+                                          "test": [[0, 0, 0], *header["batches"]["test"][1:]]}}),
             ("num_classes", {"num_classes": "3"}),
             ("protocol.class_order", {"protocol": {**header["protocol"], "class_order": 7}}),
             *held]):
@@ -313,6 +320,11 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     bad.append((str(tmp_path / "gappy.mvcl"), "(0, 1)"))
     save_split(bad[-1][0], SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (0, 1)],
                                         data.test, data.num_classes, data.views_per_class,
+                                        data.input_dim), protocol)
+    # the protocol scores class 2, but the cache has no test batch for it
+    bad.append((str(tmp_path / "untested.mvcl"), "no test samples for classes [2]"))
+    save_split(bad[-1][0], SplitDataset(data.train, [b for b in data.test if b.class_id != 2],
+                                        data.num_classes, data.views_per_class,
                                         data.input_dim), protocol)
     for path, entry in bad:
         assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG

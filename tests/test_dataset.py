@@ -383,9 +383,14 @@ def test_feature_table_errors(tmp_path):
     for word in ("nan", "inf"):
         odd_y = tmp_path / f"{word}.txt"
         odd_y.write_text(f"0\n{word}\n")
-        with pytest.raises(FeatureTableError, match="holds a non-finite label") as exc:
+        with pytest.raises(FeatureTableError, match="row 1, column 0: not finite") as exc:
             load_feature_views([str(ok)], str(odd_y))
         assert str(odd_y) in str(exc.value)
+    odd = tmp_path / "odd.txt"
+    odd.write_text("1 2\n3 nan\n")
+    with pytest.raises(FeatureTableError, match="row 1, column 1: not finite") as exc:
+        load_feature_views([str(odd)], str(y))
+    assert str(odd) in str(exc.value)
     with pytest.raises(ValueError, match="at least one feature file"):
         load_feature_views([], str(y))
     with pytest.raises(ValueError, match="train_fraction"):
@@ -440,6 +445,14 @@ def test_stream_protocol_data_mismatch():
         list(stream_sessions(StreamProtocol("t", 3, 1, (0, 1, 2), 0), data))
     with pytest.raises(ValueError, match="2 views"):
         list(stream_sessions(StreamProtocol("t", 2, 2, (0, 1), 0), data))
+    full = toy_base(num_classes=3)
+    proto = StreamProtocol("t", 3, 1, (2, 0, 1), 0)
+    proto.check(full)
+    # every missing pair, sorted, is named before any untested class
+    with pytest.raises(ValueError, match=r"pairs \[\(1, 0\), \(2, 0\)\] that the protocol"):
+        list(stream_sessions(proto, SplitDataset(full.train[:1], full.test[1:], 3, 1, 8)))
+    with pytest.raises(ValueError, match=r"no test samples for classes \[0\]$"):
+        list(stream_sessions(proto, SplitDataset(full.train, full.test[1:], 3, 1, 8)))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -114,7 +112,8 @@ def test_evaluate_classes_pools_views():
     })
     assert evaluate_classes(model, batches, [0, 1]) == [pytest.approx(6 / 8), pytest.approx(0.5)]
     assert evaluate_classes(model, batches, [1]) == [pytest.approx(0.5)]
-    assert math.isnan(evaluate_classes(model, batches, [2])[0])
+    with pytest.raises(ValueError, match=r"no test samples for classes \[2\]"):
+        evaluate_classes(model, batches, [2])
 
 
 def test_familiar_view_eval_hand_case():

@@ -570,12 +570,24 @@ def test_run_writes_report_checkpoint_manifest(tmp_path):
     assert StreamProtocol.from_dict(manifest["protocol"]) == protocol
 
 
-def test_run_missing_a_training_batch_fails_before_writing(tmp_path):
+@pytest.mark.parametrize("split, keep, match", [
+    ("train", lambda b: (b.class_id, b.view_id) != (2, 1), r"\(2, 1\)"),
+    ("test", lambda b: b.class_id != 2, r"no test samples for classes \[2\]"),
+], ids=["train", "test"])
+def test_run_missing_a_training_batch_fails_before_writing(tmp_path, monkeypatch,
+                                                           split, keep, match):
     data, protocol = tiny_data()
-    gappy = SplitDataset(data.train[:-1], data.test, data.num_classes,
+    pools = {"train": data.train, "test": data.test}
+    pools[split] = [b for b in pools[split] if keep(b)]
+    gappy = SplitDataset(pools["train"], pools["test"], data.num_classes,
                          data.views_per_class, data.input_dim)
+
+    def no_model(config):
+        raise AssertionError("run() built a model before refusing the dataset")
+
+    monkeypatch.setattr(trainer, "Model", no_model)
     out = tmp_path / "out"
-    with pytest.raises(KeyError, match="class 2, view 1"):
+    with pytest.raises(ValueError, match=match):
         run(tiny_config(), gappy, protocol, out_dir=str(out))
     assert not out.exists()
 
