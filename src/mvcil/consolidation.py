@@ -1,10 +1,12 @@
 """Phase III: expandable softmax head with selective weight consolidation.
 
-The head grows one zero-initialized column per new class. At each class
-boundary the current weights become the anchor and the class's diagonal
-Fisher estimate is added to a single running sum, so the quadratic penalty
-(mu/2) * sum fisher_sum * (W - anchor)^2 needs O(h * C) memory no matter
-how many classes have passed. The head is weights only: logits are H @ W.
+The head owns the class in progress: `expand_head` opens its column,
+`DecisionHead.imprint` seeds it and `DecisionHead.pool` averages its
+per-session Fisher estimates into `pending`. At the class boundary
+`end_of_class` anchors the current weights and adds `pending` to a single
+running sum, so the quadratic penalty (mu/2) * sum fisher_sum * (W - anchor)^2
+needs O(h * C) memory no matter how many classes have passed. The head is
+weights only: logits are H @ W.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+# the mean logit a new class's imprinted head column starts near
+IMPRINT_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -48,15 +53,34 @@ class DecisionHead:
         self.weights = np.zeros((hidden_dim, 0))
         self.anchor = np.zeros((hidden_dim, 0))
         self.fisher_sum = np.zeros((hidden_dim, 0))
+        # the Fisher of the class in progress, folded in by end_of_class
+        self.pending: FisherEstimate | None = None
 
     @property
     def classes_seen(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def classes_consolidated(self) -> int:
-        """Columns anchored so far; end_of_class widens the anchor."""
-        return self.anchor.shape[1]
+    def imprint(self, mean_hidden: np.ndarray) -> None:
+        """Seed the newest column with the class's mean hidden direction, scaled
+        so its mean logit starts near IMPRINT_SCALE. A zero column never trains
+        when the class arrives alone (single-class softmax saturates, so gradient
+        and Fisher both vanish) and would lose to every later class's logit for good."""
+        energy = float(mean_hidden @ mean_hidden)
+        if energy > 0.0:
+            self.weights[:, -1] = mean_hidden * (IMPRINT_SCALE / energy)
+
+    def pool(self, fisher: FisherEstimate) -> None:
+        """Pool one session's estimate into `pending`: the class's estimate
+        is the sample-weighted mean over all of its sessions."""
+        if fisher.diag.shape != self.fisher_sum.shape:
+            raise ValueError(f"Fisher shape {fisher.diag.shape} does not match "
+                             f"head {self.fisher_sum.shape}")
+        prev = self.pending
+        if prev is not None:
+            n = prev.sample_count + fisher.sample_count
+            diag = (prev.diag * prev.sample_count + fisher.diag * fisher.sample_count) / n
+            fisher = FisherEstimate(diag, n)
+        self.pending = fisher
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         H = np.asarray(H, dtype=np.float64)
@@ -139,15 +163,10 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
     return HeadGradients(loss=loss, grad_w=grad_w, grad_hidden=grad_hidden)
 
 
-def end_of_class(head: DecisionHead, fisher: FisherEstimate) -> None:
-    """Fold the class's Fisher into the running sum and re-center the anchor."""
-    if head.classes_consolidated >= head.classes_seen:
-        raise ValueError(
-            f"end_of_class already ran for class {head.classes_seen - 1}"
-        )
-    if fisher.diag.shape != head.fisher_sum.shape:
-        raise ValueError(
-            f"Fisher shape {fisher.diag.shape} does not match head {head.fisher_sum.shape}"
-        )
-    head.fisher_sum = head.fisher_sum + fisher.diag
+def end_of_class(head: DecisionHead) -> None:
+    """Fold the pending Fisher into the running sum and re-center the anchor."""
+    if head.pending is None:
+        raise ValueError("end_of_class needs a pending Fisher estimate; pool one first")
+    head.fisher_sum = head.fisher_sum + head.pending.diag
+    head.pending = None
     head.anchor = head.weights.copy()

@@ -453,14 +453,17 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
     try:
         for split in ("train", "test"):
             for i, (cid, vid) in enumerate(entries[f"batches.{split}"]):
+                where = f"{split}/{i}"
                 pools[split].append(
-                    ViewBatch(cid, vid, arrays[f"{split}/{i}/inputs"],
-                              arrays[f"{split}/{i}/labels"])
+                    ViewBatch(cid, vid, arrays[f"{where}/inputs"], arrays[f"{where}/labels"])
                 )
+        where = "batches"
+        data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
+                            entries["views_per_class"], entries["input_dim"])
     except KeyError as exc:
         raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
-    data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
-                        entries["views_per_class"], entries["input_dim"])
+    except ValueError as exc:
+        raise container.ContainerError(f"{path!r}, entry {where!r}: {exc}") from exc
     try:
         protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
         if protocol:

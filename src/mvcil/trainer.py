@@ -3,10 +3,9 @@
 Each session: extract the view-optimal feature, train the fusion layer with
 projector-modulated gradient steps and the decision head with the
 consolidation penalty, then absorb the session's features into the
-projector(s); `Model._supervised_loop` states the fusion-step rule. Class
-boundaries snapshot the anchor and fold the class's Fisher estimate, pooled
-over all of its views, into the running sum. Live state never grows with
-the number of sessions (only the head gains one column per class).
+projector(s); `Model._supervised_loop` states the fusion-step rule. The head
+imprints, pools and consolidates each class (`mvcil.consolidation`). Live
+state is flat in the number of sessions; the head gains one column per class.
 
 Modes:
     full            projector on the fusion layer + consolidated head
@@ -31,6 +30,7 @@ import numpy as np
 from . import container, evaluation
 from .config import ConfigError, check, setting
 from .consolidation import (
+    IMPRINT_SCALE,
     DecisionHead,
     FisherEstimate,
     end_of_class,
@@ -44,8 +44,6 @@ from .sparse_features import ExtractionConfig, extract_view_feature
 
 MODES = ("full", "net1_orth_only", "net2_orth_both")
 CONFIG_SCHEMA_VERSION = 1
-# the mean logit a new class's imprinted head column starts near
-IMPRINT_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,6 @@ class Model:
         )
         self.slot_to_class: list[int] = []
         self.session_index = 0
-        self._pending_fisher: FisherEstimate | None = None
         # test features by batch, kept only while run() evaluates
         self._eval_memo: dict[ViewBatch, np.ndarray] | None = None
 
@@ -256,15 +253,7 @@ class Model:
             self._finish_class()
             expand_head(self.head)
             self.slot_to_class.append(cid)
-            # seed the fresh column with the class's mean hidden direction,
-            # scaled so its mean logit starts near IMPRINT_SCALE. A zero
-            # column never trains when the class arrives alone (single-class
-            # softmax saturates, so gradient and Fisher both vanish) and
-            # would lose to every later class's logit for good.
-            m = self.fusion.forward(feats).mean(axis=0)
-            energy = float(m @ m)
-            if energy > 0.0:
-                self.head.weights[:, -1] = m * (IMPRINT_SCALE / energy)
+            self.head.imprint(self.fusion.forward(feats).mean(axis=0))
         # an earlier class never returns, so the session trains the newest slot
         slot = len(self.slot_to_class) - 1
         slot_labels = np.full(batch.num_samples, slot, dtype=np.int64)
@@ -279,15 +268,7 @@ class Model:
             # stability/plasticity point then does not move with dataset size
             self.head_projector.absorb(h_full / np.sqrt(h_full.shape[0]))
         if self.head.mu > 0:
-            fisher = fisher_diag(self.head, h_full, slot_labels)
-            prev = self._pending_fisher
-            if prev is not None:
-                # an earlier view of this class: the class's estimate is the
-                # sample-weighted mean over all of its views
-                n = prev.sample_count + fisher.sample_count
-                diag = (prev.diag * prev.sample_count + fisher.diag * fisher.sample_count) / n
-                fisher = FisherEstimate(diag, n)
-            self._pending_fisher = fisher
+            self.head.pool(fisher_diag(self.head, h_full, slot_labels))
         self.session_index += 1
 
     def _supervised_loop(self, feats: np.ndarray, slot_labels: np.ndarray) -> None:
@@ -340,9 +321,8 @@ class Model:
             self.fusion.orthogonal_step(z_p.T @ acc, acc.sum(axis=0))
 
     def _finish_class(self) -> None:
-        if self.head.mu > 0 and self._pending_fisher is not None:
-            end_of_class(self.head, self._pending_fisher)
-            self._pending_fisher = None
+        if self.head.pending is not None:
+            end_of_class(self.head)
 
     def finish_stream(self) -> None:
         self._finish_class()
@@ -374,10 +354,10 @@ class Model:
             "encoder_dims": sorted(self.encoders),
         }
         arrays = {name: getattr(owner, attr) for name, owner, attr in self._state()}
-        if self._pending_fisher is not None:
+        if self.head.pending is not None:
             # the current class's Fisher, folded in at the next class boundary
-            arrays["head/pending_fisher"] = self._pending_fisher.diag
-            header["pending_fisher_samples"] = self._pending_fisher.sample_count
+            arrays["head/pending_fisher"] = self.head.pending.diag
+            header["pending_fisher_samples"] = self.head.pending.sample_count
         container.write_container(path, header, arrays)
 
     @classmethod
@@ -413,7 +393,7 @@ class Model:
                 setattr(owner, attr, arrays[name])
             if "head/pending_fisher" in arrays:
                 samples = container.entry(path, header, "pending_fisher_samples", int)
-                model._pending_fisher = FisherEstimate(arrays["head/pending_fisher"], samples)
+                model.head.pending = FisherEstimate(arrays["head/pending_fisher"], samples)
             model.session_index = container.entry(path, header, "session_index", int)
             for dim in container.entry(path, header, "encoder_dims", list[int]):
                 model.encoder_for(dim)
@@ -469,7 +449,8 @@ def run(
         model.finish_stream()
         fam = None
         if protocol.heldout_views:
-            held = {b: b.view_id in protocol.heldout_views.get(b.class_id, ()) for b in data.test}
+            streamed = set(protocol.sessions())
+            held = {b: (b.class_id, b.view_id) not in streamed for b in data.test}
             fam = evaluation.familiar_view_eval(model, [b for b in held if held[b]],
                                                 [b for b in held if not held[b]])
     finally:

@@ -315,6 +315,13 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
             *held]):
         bad.append((str(tmp_path / f"header{i}.mvcl"), entry))
         write_container(bad[-1][0], {**header, **change}, arrays)
+    # a batch that fails ViewBatch or SplitDataset validation: the error names the entry
+    bad.append((str(tmp_path / "class5.mvcl"), "entry 'batches': batch class_id 5 out of range"))
+    write_container(bad[-1][0], {**header, "batches": {
+        **header["batches"], "train": [[5, 0], *header["batches"]["train"][1:]]}}, arrays)
+    bad.append((str(tmp_path / "short_labels.mvcl"), "entry 'train/0': labels shape"))
+    write_container(bad[-1][0], header,
+                    {**arrays, "train/0/labels": arrays["train/0/labels"][:-1]})
     # the protocol streams class 0, view 1, but the cache has no training batch for it
     data, protocol, _ = load_split(cache)
     bad.append((str(tmp_path / "gappy.mvcl"), "(0, 1)"))

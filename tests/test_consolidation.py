@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvcil.consolidation import (
+    IMPRINT_SCALE,
     DecisionHead,
     FisherEstimate,
     end_of_class,
@@ -168,27 +169,43 @@ def test_expand_head_contract():
     assert head.fisher_sum.shape == (4, 2)
 
 
+def test_imprint_seeds_only_the_newest_column(rng):
+    head = make_head(4, 2, seed=7)
+    first = head.weights[:, 0].copy()
+    m = rng.standard_normal(4)
+    head.imprint(m)
+    assert np.array_equal(head.weights[:, 0], first)
+    np.testing.assert_allclose(m @ head.weights[:, 1], IMPRINT_SCALE, rtol=1e-12)
+    expand_head(head)
+    head.imprint(np.zeros(4))  # no direction to seed: the column stays zero
+    assert np.array_equal(head.weights[:, 2], np.zeros(4))
+
+
 def test_end_of_class_accumulates_and_recenters(rng):
     head = make_head(3, 2, mu=1.0, seed=6)
     est1 = fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 2, 5))
-    end_of_class(head, est1)
+    head.pool(est1)
+    end_of_class(head)
     assert np.array_equal(head.anchor, head.weights)
     assert np.allclose(head.fisher_sum, est1.diag)
+    assert head.pending is None
     with pytest.raises(ValueError):
-        end_of_class(head, est1)  # no new class since
+        end_of_class(head)  # nothing pooled since
     expand_head(head)
     head.weights[:, 2] = 0.7
     est2 = fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
-    end_of_class(head, est2)
+    head.pool(est2)
+    end_of_class(head)
     assert np.allclose(head.fisher_sum[:, :2], est1.diag + est2.diag[:, :2])
     assert np.array_equal(head.anchor[:, 2], head.weights[:, 2])
 
 
-def test_end_of_class_shape_mismatch():
+def test_pool_refuses_a_shape_mismatch():
     head = make_head(3, 2)
     bad = FisherEstimate(diag=np.zeros((3, 1)), sample_count=2)
-    with pytest.raises(ValueError):
-        end_of_class(head, bad)
+    with pytest.raises(ValueError, match="does not match head"):
+        head.pool(bad)
+    assert head.pending is None
 
 
 def test_head_validation():

@@ -99,11 +99,10 @@ def test_container_is_the_only_file_writer():
     assert writers == ["container.py"]
 
 
-def test_classes_consolidated_is_read_only():
-    head = mvcil.DecisionHead(3)
-    assert head.classes_consolidated == 0
-    with pytest.raises(AttributeError):
-        head.classes_consolidated = 1
+def test_classes_consolidated_is_gone():
+    # the anchor's width says how many classes are consolidated
+    assert not hasattr(mvcil.DecisionHead, "classes_consolidated")
+    assert not hasattr(mvcil.DecisionHead(3), "classes_consolidated")
 
 
 def test_traced_benchmark_callables_resolve(monkeypatch):
