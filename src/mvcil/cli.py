@@ -172,8 +172,6 @@ def _resolve_cache(path: str) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args.config, args.set, mode=args.mode, seed=args.seed)
     data, protocol, _ = dataset.load_split(_resolve_cache(args.cache))
-    if protocol is None:
-        raise ConfigError(f"cache {args.cache!r} does not embed a protocol")
     result = run(config, data, protocol, out_dir=args.out)
     print(_metric_line(result.avg_acc, result.bwt))
     return EXIT_OK

@@ -103,8 +103,12 @@ def expand_head(head: DecisionHead) -> None:
     """Add one zero-initialized output column for the next class slot.
 
     Old columns, the anchor, and old fisher_sum entries are untouched, so
-    logits of previously seen classes are unchanged afterwards.
+    logits of previously seen classes are unchanged afterwards. Refused while
+    a Fisher estimate is pending: it covers only the columns already there.
     """
+    if head.pending is not None:
+        raise ValueError(f"a Fisher estimate over {head.pending.sample_count} samples is "
+                         "pending; call end_of_class before expand_head")
     h = head.hidden_dim
     head.weights = np.hstack([head.weights, np.zeros((h, 1))])
     head.fisher_sum = np.hstack([head.fisher_sum, np.zeros((h, 1))])

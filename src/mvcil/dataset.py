@@ -415,10 +415,10 @@ def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[Vi
         yield data.train_batch(c, v)
 
 
-def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = None) -> None:
-    """Cache a SplitDataset (and optionally its protocol) in the binary
+def save_split(path: str, data: SplitDataset, protocol: StreamProtocol) -> None:
+    """Cache a SplitDataset and the protocol that streams it in the binary
     container; round-trips bit-exactly."""
-    header: dict = {
+    header = {
         "kind": "split_dataset",
         "num_classes": data.num_classes,
         "views_per_class": data.views_per_class,
@@ -427,9 +427,8 @@ def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = 
             split: [[b.class_id, b.view_id] for b in pool]
             for split, pool in (("train", data.train), ("test", data.test))
         },
+        "protocol": protocol.to_dict(),
     }
-    if protocol is not None:
-        header["protocol"] = protocol.to_dict()
     arrays = {}
     for split, pool in (("train", data.train), ("test", data.test)):
         for i, b in enumerate(pool):
@@ -438,16 +437,15 @@ def save_split(path: str, data: SplitDataset, protocol: StreamProtocol | None = 
     container.write_container(path, header, arrays)
 
 
-def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
+def load_split(path: str) -> tuple[SplitDataset, StreamProtocol, dict]:
     header, arrays = container.read_container(path)
     if header.get("kind") != "split_dataset":
         raise container.ContainerError(f"{path!r} is not a dataset cache")
     kinds = {"batches.train": list[tuple[int, int]], "batches.test": list[tuple[int, int]],
-             "num_classes": int, "views_per_class": int, "input_dim": (int, list[int])}
-    if header.get("protocol"):
-        kinds.update({"protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
-                      "protocol.views_per_class": int, "protocol.class_order": list[int],
-                      "protocol.heldout_views": (type(None), dict[str, list[int]])})
+             "num_classes": int, "views_per_class": int, "input_dim": (int, list[int]),
+             "protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
+             "protocol.views_per_class": int, "protocol.class_order": list[int],
+             "protocol.heldout_views": (type(None), dict[str, list[int]])}
     entries = {key: container.entry(path, header, key, kind) for key, kind in kinds.items()}
     pools: dict[str, list[ViewBatch]] = {"train": [], "test": []}
     try:
@@ -460,14 +458,11 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol | None, dict]:
         where = "batches"
         data = SplitDataset(pools["train"], pools["test"], entries["num_classes"],
                             entries["views_per_class"], entries["input_dim"])
+        where = "protocol"
+        protocol = StreamProtocol.from_dict(header["protocol"])
+        protocol.check(data)
     except KeyError as exc:
         raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise container.ContainerError(f"{path!r}, entry {where!r}: {exc}") from exc
-    try:
-        protocol = StreamProtocol.from_dict(header["protocol"]) if header.get("protocol") else None
-        if protocol:
-            protocol.check(data)
-    except ValueError as exc:
-        raise container.ContainerError(f"{path!r}, entry 'protocol': {exc}") from exc
     return data, protocol, header

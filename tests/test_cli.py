@@ -21,7 +21,6 @@ from mvcil.container import MAGIC, VERSION, read_container, write_container
 from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
-    ViewBatch,
     SplitDataset,
     load_split,
     save_split,
@@ -239,6 +238,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         assert "error:" in capsys.readouterr().err
+    # a config file that holds a JSON list, and a held-out pair that is not numeric
+    as_list = tmp_path / "list.json"
+    as_list.write_text(json.dumps([{"seed": 1}]))
+    for argv, message in (
+            (["train", "--cache", "none.mvcl", "--config", str(as_list)],
+             f"{str(as_list)!r} must contain a JSON object"),
+            (["prepare", "--protocol", "pmnist-3x2", "--source-dir", src, "--heldout", "a:1"],
+             "held-out entry 'a:1' is not numeric")):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert message in capsys.readouterr().err
     # an override into a config section that is not an object
     not_object = tmp_path / "not_object.json"
     not_object.write_text(json.dumps({"fusion": 3}))
@@ -268,12 +277,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_cache_without_protocol_exits_2(tmp_path, capsys):
-    batch = ViewBatch(0, 0, np.ones((2, 3)), np.zeros(2, np.int64))
-    data = SplitDataset([batch], [batch], 1, 1, 3)
+    # every cache embeds the protocol that streams it: one without is refused when read
+    cache = prepare_cache(tmp_path)
+    run_dir = str(tmp_path / "run1")
+    main(["train", "--cache", cache, "--out", run_dir, *sets()])
+    capsys.readouterr()
+    header, arrays = read_container(cache)
     path = str(tmp_path / "noproto.mvcl")
-    save_split(path, data)
-    assert main(["train", "--cache", path]) == EXIT_CONFIG
-    assert "does not embed a protocol" in capsys.readouterr().err
+    write_container(path, {k: v for k, v in header.items() if k != "protocol"}, arrays)
+    for argv in (["train", "--cache", path], ["eval", "--run", run_dir, "--cache", path]):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert f"{path!r} lacks entry 'protocol.name'" in capsys.readouterr().err
 
 
 def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
@@ -370,10 +384,16 @@ def test_eval_of_a_class_the_cache_cannot_test_exits_2(tmp_path, capsys):
     save_split(gappy, SplitDataset(data.train, [b for b in data.test if b.class_id != 1],
                                    data.num_classes, data.views_per_class, data.input_dim),
                protocol)
-    assert main(["eval", "--run", run_dir, "--cache", gappy]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "no test samples for classes [1]" in captured.err
-    assert captured.out == ""
+    # a complete two-class cache passes its own protocol's check; eval itself
+    # refuses to score the run's third class on it
+    two = prepare_cache(tmp_path, protocol="pmnist-2x2")
+    capsys.readouterr()
+    for path, refused, by_protocol in ((gappy, "[1]", True), (two, "[2]", False)):
+        assert main(["eval", "--run", run_dir, "--cache", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"no test samples for classes {refused}" in captured.err
+        assert ("entry 'protocol'" in captured.err) == by_protocol
+        assert captured.out == ""
 
 
 def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):

@@ -169,6 +169,21 @@ def test_expand_head_contract():
     assert head.fisher_sum.shape == (4, 2)
 
 
+def test_expand_head_refuses_while_a_fisher_estimate_is_pending(rng):
+    head = make_head(3, 2, mu=1.0, seed=4)
+    head.pool(fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 2, 5)))
+    before = head.weights.copy(), head.fisher_sum.copy(), head.pending
+    with pytest.raises(ValueError, match="over 5 samples is pending; call end_of_class"):
+        expand_head(head)
+    assert np.array_equal(head.weights, before[0])
+    assert np.array_equal(head.fisher_sum, before[1])
+    assert head.pending is before[2]
+    end_of_class(head)
+    expand_head(head)
+    head.pool(fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 3, 5)))
+    assert head.pending.diag.shape == (3, 3)
+
+
 def test_imprint_seeds_only_the_newest_column(rng):
     head = make_head(4, 2, seed=7)
     first = head.weights[:, 0].copy()

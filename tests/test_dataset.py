@@ -485,10 +485,11 @@ def test_save_load_keeps_per_view_dims(tmp_path):
     train = [ViewBatch(0, 0, np.ones((2, 3)), np.zeros(2, np.int64)),
              ViewBatch(0, 1, np.ones((2, 4)), np.zeros(2, np.int64))]
     data = SplitDataset(train, list(train), 1, 2, (3, 4))
+    proto = StreamProtocol("hetero", 1, 2, (0,), 0)
     path = str(tmp_path / "hetero.mvcl")
-    save_split(path, data)
+    save_split(path, data, proto)
     loaded, lproto, _ = load_split(path)
-    assert lproto is None
+    assert lproto == proto
     assert loaded.input_dim == (3, 4)
 
 
@@ -496,7 +497,7 @@ def test_load_split_reads_int_input_dim_header(tmp_path):
     # older caches store input_dim as one int and carry a "counts" entry
     data = make_permuted_views(toy_base(num_classes=2, dim=5), 3, seed=1)
     path = str(tmp_path / "old.mvcl")
-    save_split(path, data)
+    save_split(path, data, make_protocol("old", 2, 3, seed=1))
     header, arrays = container.read_container(path)
     assert header["input_dim"] == [5, 5, 5]
     header.update(input_dim=5, counts={"train": 6, "test": 6})

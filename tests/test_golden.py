@@ -18,7 +18,7 @@ with open(GOLDEN) as f:
     WANT = json.load(f)
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", list(CASES))
 def test_stream_matches_golden_fingerprint(case, monkeypatch):
     monkeypatch.syspath_prepend(BENCH)
     try:

@@ -169,6 +169,10 @@ def test_fusion_layer_seeded_init_and_forward(rng):
     assert np.allclose(out, np.tanh(X @ a.weights))
     with pytest.raises(ValueError, match="7 columns"):
         a.forward(X[:, :5])
+    with pytest.raises(ValueError, match="layer dims must be >= 1, got 7, 0"):
+        FusionLayer(7, 0)
+    with pytest.raises(ValueError, match="eta must be > 0, got 0"):
+        FusionLayer(7, 4, eta=0)
 
 
 def test_activation_derivatives_match_finite_differences(rng):

@@ -45,6 +45,8 @@ def test_removed_members_and_parameters_are_gone():
     assert "code_activation" not in {f.name for f in dataclasses.fields(mvcil.ExtractionConfig)}
     assert list(inspect.signature(mvcil.fista_fit).parameters) == ["Z", "X", "lam", "K"]
     assert "extra_header" not in inspect.signature(save_split).parameters
+    # every cache embeds the protocol that streams it
+    assert inspect.signature(save_split).parameters["protocol"].default is inspect.Parameter.empty
     assert not hasattr(mvcil.Projector, "reset")
     assert "feature_dim" not in inspect.signature(mvcil.Model).parameters
     for klass, name in ((mvcil.RunConfig, "eval_cadence"),
