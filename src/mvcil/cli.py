@@ -68,26 +68,25 @@ def parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _read_json(path: str):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # a JSON syntax error or bytes that are not text
+            raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
+
+
 def build_config(config_path: str | None, overrides: list[str],
                  mode: str | None = None, seed: int | None = None) -> RunConfig:
-    raw: dict = {}
-    if config_path:
-        with open(config_path) as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{config_path!r} must contain a JSON object")
+    raw = _read_json(config_path) if config_path else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{config_path!r} must contain a JSON object")
     flat = parse_overrides(overrides)
     if mode is not None:
         flat["mode"] = MODE_ALIASES.get(mode, mode)
     if seed is not None:
         flat["seed"] = seed
-    for key, value in flat.items():
-        section, _, name = key.rpartition(".")
-        target = raw.setdefault(section, {}) if section else raw
-        if not isinstance(target, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        target[name] = value
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(raw, flat)
 
 
 def parse_heldout(spec: str | None) -> dict[int, list[int]] | None:
@@ -201,8 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _report_fields(path: str) -> list:
     """What `report` prints of a run manifest: protocol name, mode, avg_acc
     and bwt, in that order."""
-    with open(path) as f:
-        manifest = json.load(f)
+    manifest = _read_json(path)
     return [entry(path, manifest, key, kind, ConfigError) for key, kind in REPORT_KEYS.items()]
 
 

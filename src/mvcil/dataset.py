@@ -417,7 +417,9 @@ def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[Vi
 
 def save_split(path: str, data: SplitDataset, protocol: StreamProtocol) -> None:
     """Cache a SplitDataset and the protocol that streams it in the binary
-    container; round-trips bit-exactly."""
+    container; round-trips bit-exactly. A dataset that fails
+    `protocol.check` is refused before anything is written."""
+    protocol.check(data)
     header = {
         "kind": "split_dataset",
         "num_classes": data.num_classes,

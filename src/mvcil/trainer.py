@@ -30,7 +30,6 @@ import numpy as np
 from . import container, evaluation
 from .config import ConfigError, check, setting
 from .consolidation import (
-    IMPRINT_SCALE,
     DecisionHead,
     FisherEstimate,
     end_of_class,
@@ -70,24 +69,6 @@ class ConsolidationConfig:
         check("consolidation", self)
 
 
-# keys earlier versions wrote, each accepted only at the value the code now
-# always uses, so their checkpoints and manifests still load
-RETIRED = {"eval_cadence": "class", "fusion.projector_reset_per_class": False,
-           "fusion.depth": 1, "consolidation.train_head_bias": False,
-           "encoder.activation": "tanh", "fusion.activation": "tanh",
-           "consolidation.imprint_scale": IMPRINT_SCALE}
-
-
-def _retired(key: str, value) -> bool:
-    if key not in RETIRED:
-        return False
-    if value != RETIRED[key]:
-        raise ConfigError(
-            f"config key {key!r} is retired: only {RETIRED[key]!r} is accepted, got {value!r}"
-        )
-    return True
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = setting(0, ge=0)
@@ -103,31 +84,35 @@ class RunConfig:
         return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(self)}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
+    def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
+        """The config `raw` (in the form `to_dict` writes) with the dotted
+        `overrides` (`section.field` or a top-level field) on top."""
         if type(raw) is not dict:
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         raw = dict(raw)
         version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version}")
-        kwargs: dict = {}
+        flat: dict = {}
         for key, value in raw.items():
+            if "." in key:
+                raise ConfigError(f"unknown config key {key!r}")
             if key in SECTIONS:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be an object")
-                value = {k: v for k, v in value.items() if not _retired(f"{key}.{k}", v)}
-                known = {f.name for f in dataclasses.fields(SECTIONS[key])}
-                unknown = set(value) - known
-                if unknown:
-                    raise ConfigError(f"unknown config keys in {key}: {sorted(unknown)}")
-                kwargs[key] = SECTIONS[key](**value)
-            elif _retired(key, value):
-                continue
-            elif key in {f.name for f in dataclasses.fields(cls)}:
-                kwargs[key] = value
+                flat.update((f"{key}.{name}", v) for name, v in value.items())
             else:
-                raise ConfigError(f"unknown config key {key!r}")
-        return cls(**kwargs)
+                flat[key] = value
+        flat.update(overrides or {})
+        unknown = flat.keys() - config_field_types()
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        top: dict = {}
+        sections: dict = {section: {} for section in SECTIONS}
+        for key, value in flat.items():
+            section, _, name = key.rpartition(".")
+            (sections[section] if section else top)[name] = value
+        return cls(**top, **{s: SECTIONS[s](**kw) for s, kw in sections.items()})
 
 
 # the settings sections: RunConfig's fields that `setting` does not declare
@@ -399,6 +384,8 @@ class Model:
                 model.encoder_for(dim)
         except KeyError as exc:
             raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
+        except ConfigError as exc:
+            raise container.ContainerError(f"{path!r}, entry 'config': {exc}") from exc
         return model
 
 

@@ -22,6 +22,7 @@ from mvcil.dataset import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     SplitDataset,
+    StreamProtocol,
     load_split,
     save_split,
 )
@@ -40,6 +41,14 @@ def sets(*extra):
     for kv in TINY + list(extra):
         out += ["--set", kv]
     return out
+
+
+def save_unrunnable(path, data, protocol):
+    """Write a cache that fails `protocol.check`, which `save_split` refuses,
+    so that the refusal on reading it back can be tested."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StreamProtocol, "check", lambda self, data: None)
+        save_split(path, data, protocol)
 
 
 @pytest.fixture(autouse=True)
@@ -238,12 +247,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         assert "error:" in capsys.readouterr().err
-    # a config file that holds a JSON list, and a held-out pair that is not numeric
+    # a config file that holds a JSON list, one that is not JSON, one that
+    # writes a dotted key at its top level, and a held-out pair that is not numeric
     as_list = tmp_path / "list.json"
     as_list.write_text(json.dumps([{"seed": 1}]))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{")
+    not_text = tmp_path / "not_text.json"
+    not_text.write_bytes(b"\xff")
+    dotted = tmp_path / "dotted.json"
+    dotted.write_text(json.dumps({"fusion.alpha": 0.5}))
     for argv, message in (
             (["train", "--cache", "none.mvcl", "--config", str(as_list)],
              f"{str(as_list)!r} must contain a JSON object"),
+            (["train", "--cache", "none.mvcl", "--config", str(bad_json)],
+             f"{str(bad_json)!r} is not valid JSON"),
+            (["train", "--cache", "none.mvcl", "--config", str(not_text)],
+             f"{str(not_text)!r} is not valid JSON"),
+            (["train", "--cache", "none.mvcl", "--config", str(dotted)],
+             "unknown config key 'fusion.alpha'"),
             (["prepare", "--protocol", "pmnist-3x2", "--source-dir", src, "--heldout", "a:1"],
              "held-out entry 'a:1' is not numeric")):
         assert main(argv) == EXIT_CONFIG, argv
@@ -254,11 +276,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--cache", "none.mvcl", "--config", str(not_object),
                  "--set", "fusion.width=10"]) == EXIT_CONFIG
     assert "config section 'fusion' must be an object" in capsys.readouterr().err
-    # a config file may hold a retired activation key only at "tanh"
-    sigmoid = tmp_path / "sigmoid.json"
-    sigmoid.write_text(json.dumps({"fusion": {"activation": "sigmoid"}}))
-    assert main(["train", "--cache", "none.mvcl", "--config", str(sigmoid)]) == EXIT_CONFIG
-    assert "fusion.activation" in capsys.readouterr().err
+    # the formerly retired activation key is unknown, even at "tanh"
+    for value in ("sigmoid", "tanh"):
+        activation = tmp_path / f"{value}.json"
+        activation.write_text(json.dumps({"fusion": {"activation": value}}))
+        assert main(["train", "--cache", "none.mvcl", "--config", str(activation)]) == EXIT_CONFIG
+        assert "unknown config keys ['fusion.activation']" in capsys.readouterr().err
     # a mistyped value is refused, naming its key, before any work starts
     for i, (raw, key) in enumerate([({"fusion": {"width": 2.5}}, "fusion.width"),
                                     ({"consolidation": {"batch_size": True}},
@@ -339,14 +362,15 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     # the protocol streams class 0, view 1, but the cache has no training batch for it
     data, protocol, _ = load_split(cache)
     bad.append((str(tmp_path / "gappy.mvcl"), "(0, 1)"))
-    save_split(bad[-1][0], SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (0, 1)],
-                                        data.test, data.num_classes, data.views_per_class,
-                                        data.input_dim), protocol)
+    save_unrunnable(bad[-1][0],
+                    SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (0, 1)],
+                                 data.test, data.num_classes, data.views_per_class,
+                                 data.input_dim), protocol)
     # the protocol scores class 2, but the cache has no test batch for it
     bad.append((str(tmp_path / "untested.mvcl"), "no test samples for classes [2]"))
-    save_split(bad[-1][0], SplitDataset(data.train, [b for b in data.test if b.class_id != 2],
-                                        data.num_classes, data.views_per_class,
-                                        data.input_dim), protocol)
+    save_unrunnable(bad[-1][0], SplitDataset(data.train, [b for b in data.test if b.class_id != 2],
+                                             data.num_classes, data.views_per_class,
+                                             data.input_dim), protocol)
     for path, entry in bad:
         assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -381,9 +405,9 @@ def test_eval_of_a_class_the_cache_cannot_test_exits_2(tmp_path, capsys):
     capsys.readouterr()
     data, protocol, _ = load_split(cache)
     gappy = str(tmp_path / "gappy.mvcl")
-    save_split(gappy, SplitDataset(data.train, [b for b in data.test if b.class_id != 1],
-                                   data.num_classes, data.views_per_class, data.input_dim),
-               protocol)
+    save_unrunnable(gappy, SplitDataset(data.train, [b for b in data.test if b.class_id != 1],
+                                        data.num_classes, data.views_per_class, data.input_dim),
+                    protocol)
     # a complete two-class cache passes its own protocol's check; eval itself
     # refuses to score the run's third class on it
     two = prepare_cache(tmp_path, protocol="pmnist-2x2")
@@ -466,7 +490,12 @@ def test_report_reads_only_what_it_prints(tmp_path, capsys):
     no_metrics = write("no_metrics", {"protocol": {"name": "pmnist-3x2"},
                                       "config": {"mode": "full", "seed": 0}})
     as_list = write("as_list", [1, 2])
-    cases = [(no_metrics, "metrics.avg_acc"), (as_list, "protocol.name")]
+    bad_json = str(tmp_path / "bad_json")
+    os.mkdir(bad_json)
+    with open(os.path.join(bad_json, "manifest.json"), "w") as f:
+        f.write("{")
+    cases = [(no_metrics, "metrics.avg_acc"), (as_list, "protocol.name"),
+             (bad_json, "is not valid JSON")]
     for i, (metrics, key) in enumerate([({"avg_acc": "x", "bwt": None}, "metrics.avg_acc"),
                                         ({"avg_acc": True, "bwt": None}, "metrics.avg_acc"),
                                         ({"avg_acc": 0.5, "bwt": "y"}, "metrics.bwt")]):

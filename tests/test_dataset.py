@@ -473,6 +473,17 @@ def test_save_load_round_trip(tmp_path):
     assert lproto == proto
 
 
+def test_save_split_refuses_a_dataset_its_protocol_cannot_stream(tmp_path):
+    data = make_permuted_views(toy_base(num_classes=2, dim=5), 2, seed=7)
+    proto = make_protocol("toy", 2, 2, seed=7)
+    gappy = SplitDataset([b for b in data.train if (b.class_id, b.view_id) != (1, 0)],
+                         data.test, 2, 2, data.input_dim)
+    path = tmp_path / "gappy.mvcl"
+    with pytest.raises(ValueError, match=r"pairs \[\(1, 0\)\] that the protocol streams"):
+        save_split(str(path), gappy, proto)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_protocol_dict_round_trips_through_json():
     for proto in (make_protocol("toy", 3, 2, seed=1),
                   make_protocol("toy", 3, 2, seed=1, heldout_views={2: [1], 0: [0]})):

@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 
 from mvcil import container, evaluation, trainer
-from mvcil.consolidation import swc_loss_and_grad
-from mvcil.dataset import SplitDataset, StreamProtocol, ViewBatch, derive_seed, stream_sessions
+from mvcil.cli import EXIT_CONFIG, main
+from mvcil.consolidation import IMPRINT_SCALE, swc_loss_and_grad
+from mvcil.dataset import (
+    SplitDataset,
+    StreamProtocol,
+    ViewBatch,
+    derive_seed,
+    save_split,
+    stream_sessions,
+)
 from mvcil.evaluation import parse_report
 from mvcil.orthogonal_fusion import FusionLayer, Projector
 from mvcil.sparse_features import ExtractionConfig
@@ -165,10 +173,10 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
             assert np.array_equal(x, y), f"resumed at session {cut}"
 
 
-def test_legacy_checkpoint_keys_are_ignored(tmp_path):
+def test_checkpoint_ignores_extra_header_keys_and_arrays(tmp_path, capsys):
     # checkpoints from earlier versions also stored mu as an array, the
-    # head's always-zero bias, four derived or unread header keys, and six
-    # retired config keys at their defaults; they still load the same model
+    # head's always-zero bias and four derived or unread header keys; a
+    # checkpoint holding them loads the same model
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
     path = str(tmp_path / "legacy.mvcl")
@@ -176,13 +184,6 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     header, arrays = container.read_container(path)
     header.update(current_class=2, classes_consolidated=3,
                   fusion_0_samples_absorbed=60, head_projector_samples=60)
-    header["config"]["eval_cadence"] = "class"
-    header["config"]["fusion"]["projector_reset_per_class"] = False
-    header["config"]["consolidation"]["train_head_bias"] = False
-    header["config"]["encoder"]["activation"] = "tanh"
-    header["config"]["fusion"]["activation"] = "tanh"
-    header["config"]["consolidation"]["imprint_scale"] = 2.0
-    assert RunConfig.from_dict(header["config"]) == res.model.config
     arrays["head/mu"] = np.array([res.model.head.mu])
     arrays["head/bias"] = np.zeros(len(res.model.slot_to_class))
     container.write_container(path, header, arrays)
@@ -195,6 +196,17 @@ def test_legacy_checkpoint_keys_are_ignored(tmp_path):
     for batch in data.test:
         assert np.array_equal(res.model.predict_labels(batch),
                               loaded.predict_labels(batch))
+    # a config key that earlier versions wrote is refused, naming the
+    # checkpoint and its config entry
+    header["config"]["eval_cadence"] = "class"
+    container.write_container(path, header, arrays)
+    with pytest.raises(container.ContainerError, match=r"'config': unknown config keys"):
+        Model.load_checkpoint(path)
+    cache = str(tmp_path / "toy.mvcl")
+    save_split(cache, data, protocol)
+    assert main(["eval", "--checkpoint", path, "--cache", cache]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "'config'" in err and "eval_cadence" in err
 
 
 @pytest.fixture(scope="module")
@@ -475,20 +487,31 @@ def test_config_round_trip_and_rejects_unknown():
     cfg = tiny_config(mode="net2_orth_both")
     back = RunConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    # dotted overrides go on top of the nested form, or of the defaults
+    assert RunConfig.from_dict(cfg.to_dict(), {"fusion.alpha": 0.5, "seed": 4}) == tiny_config(
+        mode="net2_orth_both", fusion=FusionConfig(width=8, alpha=0.5), seed=4)
+    assert RunConfig.from_dict({}, {"encoder.n": 3}) == RunConfig(encoder=ExtractionConfig(n=3))
+    with pytest.raises(ConfigError, match=r"unknown config keys \['fusion.bogus', 'nope'\]"):
+        RunConfig.from_dict({"nope": 1}, {"fusion.bogus": 2})
     raw = cfg.to_dict()
     raw["fusion"]["bogus"] = 1
-    with pytest.raises(ConfigError, match="unknown config keys in fusion"):
+    with pytest.raises(ConfigError, match=r"unknown config keys \['fusion.bogus'\]"):
         RunConfig.from_dict(raw)
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig.from_dict({"nope": 1})
+    # a dotted key belongs to overrides, not to the nested form
+    with pytest.raises(ConfigError, match="unknown config key 'fusion.alpha'"):
+        RunConfig.from_dict({"fusion.alpha": 0.5})
     with pytest.raises(ConfigError, match="must be an object"):
         RunConfig.from_dict({"fusion": 3})
+    with pytest.raises(ConfigError, match="must be an object"):
+        RunConfig.from_dict({"fusion": 3}, {"fusion.width": 10})
     with pytest.raises(ConfigError, match="config must be an object"):
         RunConfig.from_dict([])
     with pytest.raises(ConfigError, match="schema_version"):
         RunConfig.from_dict({"schema_version": 99})
     # the decoder always fits the linear codes; the old knob is gone
-    with pytest.raises(ConfigError, match="unknown config keys in encoder"):
+    with pytest.raises(ConfigError, match=r"unknown config keys \['encoder.code_activation'\]"):
         RunConfig.from_dict({"encoder": {"code_activation": "linear"}})
 
 
@@ -501,19 +524,19 @@ def test_config_round_trip_and_rejects_unknown():
     ("fusion", "activation", "sigmoid"),
     ("consolidation", "imprint_scale", 3.0),
 ])
-def test_retired_keys_load_only_at_their_fixed_value(section, key, other):
-    raw = tiny_config().to_dict()
-    target = raw if section is None else raw[section]
-    assert key not in target
-    target[key] = other
-    with pytest.raises(ConfigError, match=key):
-        RunConfig.from_dict(raw)
-
-
-def test_no_retired_key_names_a_live_field():
-    # retired keys are dropped before the unknown-key check, so a retired
-    # key that named a live field would silently discard that setting
-    assert not set(trainer.RETIRED) & set(config_field_types())
+def test_retired_keys_are_now_unknown(section, key, other):
+    # keys that earlier versions wrote; each once loaded at the one value the
+    # code kept, and is now unknown at that value too
+    fixed = {"eval_cadence": "class", "projector_reset_per_class": False, "depth": 1,
+             "train_head_bias": False, "activation": "tanh", "imprint_scale": 2.0}[key]
+    dotted = key if section is None else f"{section}.{key}"
+    assert dotted not in config_field_types()
+    for value in (fixed, other):
+        raw = tiny_config().to_dict()
+        target = raw if section is None else raw[section]
+        target[key] = value
+        with pytest.raises(ConfigError, match=rf"unknown config keys \[{dotted!r}\]"):
+            RunConfig.from_dict(raw)
 
 
 def test_config_validation():
@@ -707,5 +730,5 @@ def test_imprint_seeds_new_head_column_from_hidden_mean():
     # so the column must still equal the imprint exactly
     h = model.fusion.forward(model.extract(batch))
     m = h.mean(axis=0)
-    want = m * (trainer.IMPRINT_SCALE / float(m @ m))
+    want = m * (IMPRINT_SCALE / float(m @ m))
     np.testing.assert_allclose(model.head.weights[:, 0], want, rtol=1e-12)
