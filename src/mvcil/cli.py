@@ -38,8 +38,12 @@ REPORT_KEYS = {"protocol.name": str, "config.mode": str, "metrics.avg_acc": (int
 BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def cache_root() -> str:
-    return os.environ.get("MVCIL_CACHE_DIR", ".")
+def cache_path(name: str) -> str:
+    """Where `prepare`, `train` and `eval` find a cache: a bare name (no directory
+    part) under MVCIL_CACHE_DIR, by default the working directory, else as given."""
+    if os.path.isabs(name) or os.sep in name:
+        return name
+    return os.path.join(os.environ.get("MVCIL_CACHE_DIR", "."), name)
 
 
 def _metric_line(avg: float, bwt_value: float | None) -> str:
@@ -142,9 +146,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         data = dataset.zscore_views(data)
     protocol = dataset.make_protocol(name, data.num_classes, data.views_per_class, args.seed,
                                      heldout_views=heldout)
-    out = args.out or f"{name}-seed{args.seed}.mvcl"
-    if not os.path.isabs(out) and os.sep not in out:
-        out = os.path.join(cache_root(), out)
+    out = cache_path(args.out or f"{name}-seed{args.seed}.mvcl")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     dataset.save_split(out, data, protocol)
     sha = hashlib.sha256()
@@ -159,18 +161,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_cache(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    candidate = os.path.join(cache_root(), path)
-    if os.path.exists(candidate):
-        return candidate
-    raise FileNotFoundError(path)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args.config, args.set, mode=args.mode, seed=args.seed)
-    data, protocol, _ = dataset.load_split(_resolve_cache(args.cache))
+    data, protocol, _ = dataset.load_split(cache_path(args.cache))
     result = run(config, data, protocol, out_dir=args.out)
     print(_metric_line(result.avg_acc, result.bwt))
     return EXIT_OK
@@ -181,7 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval needs --run or --checkpoint")
     checkpoint = args.checkpoint or os.path.join(args.run, "checkpoint.mvcl")
     model = Model.load_checkpoint(checkpoint)
-    data, _, _ = dataset.load_split(_resolve_cache(args.cache))
+    data, _, _ = dataset.load_split(cache_path(args.cache))
     row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
     avg = float(np.mean(row))
     bwt_value = None
@@ -262,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     t = sub.add_parser("train", help="run the stream and print final metrics")
-    t.add_argument("--cache", required=True, help="dataset cache from prepare")
+    t.add_argument("--cache", required=True, help="cache; a bare name is under MVCIL_CACHE_DIR")
     t.add_argument("--out", help="run directory for manifest/checkpoint/report")
     t.add_argument("--config", help="JSON run config")
     t.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="re-evaluate a checkpoint on a cache")
     e.add_argument("--run", help="run directory (checkpoint.mvcl inside)")
     e.add_argument("--checkpoint", help="explicit checkpoint path")
-    e.add_argument("--cache", required=True)
+    e.add_argument("--cache", required=True, help="dataset cache (as for train)")
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("report", help="aggregate mean±std across run directories")

@@ -114,11 +114,17 @@ class StreamProtocol:
                                    ("views", self.views_per_class, data.views_per_class)):
             if mine != theirs:
                 raise ValueError(f"protocol has {mine} {what}, dataset has {theirs}")
-        if missing := set(self.sessions()) - {(b.class_id, b.view_id) for b in data.train}:
+        streamed = set(self.sessions())
+        if missing := streamed - {(b.class_id, b.view_id) for b in data.train}:
             raise ValueError(f"the dataset lacks the training batches of the (class, view) "
                              f"pairs {sorted(missing)} that the protocol streams")
         if untested := sorted(set(self.class_order) - {b.class_id for b in data.test}):
             raise ValueError(f"no test samples for classes {untested}")
+        if self.heldout_views:
+            tested = {(b.class_id, b.view_id) in streamed for b in data.test}
+            for side, is_streamed in (("held-out", False), ("streamed", True)):
+                if is_streamed not in tested:
+                    raise ValueError(f"a held-out protocol needs test samples of {side} views")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StreamProtocol":

@@ -90,9 +90,9 @@ def familiar_view_eval(model, heldout_batches, shared_batches) -> dict:
     accuracies, and the gap (held-out minus shared; negative means the model
     loses accuracy on unfamiliar views).
     """
-    if not heldout_batches:
-        raise ValueError("held-out view set is empty")
-
+    for side, batches in (("held-out", heldout_batches), ("shared", shared_batches)):
+        if not batches:
+            raise ValueError(f"{side} view set is empty")
     held = _tally(model, heldout_batches)
     shared = _tally(model, shared_batches)
     held_acc = sum(h for h, _ in held.values()) / sum(n for _, n in held.values())

@@ -185,16 +185,14 @@ class Model:
 
     # ---- feature path -------------------------------------------------
 
-    def encoder_for(self, input_dim: int):
-        enc = self.encoders.get(input_dim)
-        if enc is None:
-            seed = int(derive_seed(self.config.seed, 0xE2C, input_dim).generate_state(1)[0])
-            enc = self.config.encoder.make_encoder(input_dim, seed=seed)
-            self.encoders[input_dim] = enc
-        return enc
-
     def extract(self, batch: ViewBatch) -> np.ndarray:
-        enc = self.encoder_for(batch.input_dim)
+        """The view-optimal feature of `batch`. The seed and the input width
+        fix each frozen encoder, so it is built on first use, not stored."""
+        dim = batch.input_dim
+        enc = self.encoders.get(dim)
+        if enc is None:
+            seed = int(derive_seed(self.config.seed, 0xE2C, dim).generate_state(1)[0])
+            enc = self.encoders[dim] = self.config.encoder.make_encoder(dim, seed=seed)
         return extract_view_feature(enc, batch, self.config.encoder).features
 
     def features_for_eval(self, batch: ViewBatch) -> np.ndarray:
@@ -336,7 +334,6 @@ class Model:
             "config": self.config.to_dict(),
             "slot_to_class": self.slot_to_class,
             "session_index": self.session_index,
-            "encoder_dims": sorted(self.encoders),
         }
         arrays = {name: getattr(owner, attr) for name, owner, attr in self._state()}
         if self.head.pending is not None:
@@ -376,16 +373,19 @@ class Model:
                         f"{path!r}: {name} has shape {arrays[name].shape}, expected {shape}")
             for name, owner, attr in model._state():
                 setattr(owner, attr, arrays[name])
-            if "head/pending_fisher" in arrays:
-                samples = container.entry(path, header, "pending_fisher_samples", int)
-                model.head.pending = FisherEstimate(arrays["head/pending_fisher"], samples)
             model.session_index = container.entry(path, header, "session_index", int)
-            for dim in container.entry(path, header, "encoder_dims", list[int]):
-                model.encoder_for(dim)
+            if model.session_index < 0:
+                raise container.ContainerError(f"{path!r}: session_index is < 0")
         except KeyError as exc:
             raise container.ContainerError(f"{path!r} lacks entry {exc.args[0]!r}") from exc
         except ConfigError as exc:
             raise container.ContainerError(f"{path!r}, entry 'config': {exc}") from exc
+        if "head/pending_fisher" in arrays:
+            samples = container.entry(path, header, "pending_fisher_samples", int)
+            try:
+                model.head.pending = FisherEstimate(arrays["head/pending_fisher"], samples)
+            except ValueError as exc:  # a sample count < 1 or a negative entry
+                raise container.ContainerError(f"{path!r}: head/pending_fisher: {exc}") from exc
         return model
 
 

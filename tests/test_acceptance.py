@@ -49,7 +49,7 @@ def _source_dir(base: str) -> str:
 
 def _ensure_cache(protocol: str, base: str, reduced: bool) -> str:
     tag = f"r{REDUCED_CAP}" if reduced else "full"
-    path = os.path.join(cli.cache_root(), f"{protocol}-{tag}-seed0.mvcl")
+    path = cli.cache_path(f"{protocol}-{tag}-seed0.mvcl")
     if os.path.exists(path):
         return path
     src = _source_dir(base)

@@ -215,6 +215,37 @@ def test_prepare_bare_out_name_goes_to_cache_dir(tmp_path, capsys):
     assert METRIC_RE.match(capsys.readouterr().out.strip().splitlines()[-1])
 
 
+def test_working_directory_never_shadows_a_bare_cache_name(tmp_path, capsys, monkeypatch):
+    rc = main(["prepare", "--protocol", "pmnist-3x2", "--source-dir", make_idx_dir(tmp_path),
+               "--seed", "0", "--out", "x.mvcl"])
+    assert rc == EXIT_OK
+    # a 2-class cache of the same name in the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc = main(["prepare", "--protocol", "pmnist-2x2", "--source-dir",
+               make_idx_dir(work, num_classes=2), "--seed", "0",
+               "--out", os.path.join(".", "x.mvcl")])
+    assert rc == EXIT_OK
+    assert os.path.exists(work / "x.mvcl")
+    capsys.readouterr()
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--cache", "x.mvcl", "--out", run_dir, *sets()]) == EXIT_OK
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        assert json.load(f)["protocol"]["num_classes"] == 3
+    capsys.readouterr()
+    printed = []
+    for cache in ("x.mvcl", str(tmp_path / "cache" / "x.mvcl")):
+        assert main(["eval", "--run", run_dir, "--cache", cache]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+def test_missing_bare_cache_name_exits_3_naming_its_path(tmp_path, capsys):
+    assert main(["train", "--cache", "absent.mvcl"]) == EXIT_IO
+    assert repr(str(tmp_path / "cache" / "absent.mvcl")) in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     src = make_idx_dir(tmp_path)
     retired = tmp_path / "retired.json"
@@ -324,10 +355,9 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
     no_slots = str(tmp_path / "no_slots.mvcl")
     write_container(no_slots, {k: v for k, v in header.items() if k != "slot_to_class"}, arrays)
     bad = [(no_anchor, "head/anchor"), (no_slots, "slot_to_class")]
-    # header entries of the wrong kind
-    for entry in ("slot_to_class", "encoder_dims"):
-        bad.append((str(tmp_path / f"{entry}.mvcl"), entry))
-        write_container(bad[-1][0], {**header, entry: 5}, arrays)
+    # a header entry of the wrong kind
+    bad.append((str(tmp_path / "int_slots.mvcl"), "slot_to_class"))
+    write_container(bad[-1][0], {**header, "slot_to_class": 5}, arrays)
     for path, entry in bad:
         assert main(["eval", "--checkpoint", path, "--cache", cache]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -132,8 +132,10 @@ def test_familiar_view_eval_hand_case():
     assert out["heldout_accuracy"] == pytest.approx(4 / 6)
     assert out["shared_accuracy"] == 1.0
     assert out["gap"] == pytest.approx(4 / 6 - 1.0)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="held-out view set is empty"):
         familiar_view_eval(model, [], shared)
+    with pytest.raises(ValueError, match="shared view set is empty"):
+        familiar_view_eval(model, held, [])
 
 
 def test_report_round_trips_bit_exactly(tmp_path):

@@ -125,6 +125,44 @@ def test_state_size_independent_of_sessions_per_class():
     assert sizes[0] == sizes[1]
 
 
+def test_loaded_model_builds_its_encoder_on_first_use(tmp_path):
+    data, protocol = tiny_data()
+    trained = run(tiny_config(), data, protocol).model
+    path = str(tmp_path / "ckpt.mvcl")
+    trained.save_checkpoint(path)
+    assert "encoder_dims" not in container.read_container(path)[0]
+    loaded = Model.load_checkpoint(path)
+    # the seed fixes each encoder, so none is built until a batch needs it
+    assert loaded.encoders == {}
+    assert loaded.state_size_bytes() == sum(a.nbytes for a in model_arrays(loaded))
+    loaded.predict_labels(data.test[0])
+    assert list(loaded.encoders) == list(trained.encoders) == [12]
+    for attr in ("weights", "bias"):
+        assert np.array_equal(getattr(loaded.encoders[12], attr),
+                              getattr(trained.encoders[12], attr))
+    assert loaded.state_size_bytes() == trained.state_size_bytes()
+
+
+@pytest.mark.parametrize("side, tested_view", [("streamed", 1), ("held-out", 0)])
+def test_heldout_protocol_needs_test_samples_of_both_sides(tmp_path, monkeypatch,
+                                                           side, tested_view):
+    # view 1 of both classes is held out; the test pool keeps only one view,
+    # so one side of the held-out comparison has no samples
+    data, protocol = tiny_data(num_classes=2, views=2,
+                               heldout={0: frozenset({1}), 1: frozenset({1})})
+    data.test = [b for b in data.test if b.view_id == tested_view]
+    message = f"a held-out protocol needs test samples of {side} views"
+    path = tmp_path / "gappy.mvcl"
+    with pytest.raises(ValueError, match=message):
+        save_split(str(path), data, protocol)
+    assert not path.exists()
+    # refused before the stream starts, not after it is trained
+    monkeypatch.setattr(Model, "train_session",
+                        lambda self, batch: pytest.fail("trained a session"))
+    with pytest.raises(ValueError, match=message):
+        run(tiny_config(), data, protocol)
+
+
 def test_state_size_counts_live_arrays_and_encoders():
     data, protocol = tiny_data()
     model = run(tiny_config(), data, protocol).model
@@ -175,15 +213,16 @@ def test_resume_at_every_class_boundary_matches_uninterrupted(tmp_path):
 
 def test_checkpoint_ignores_extra_header_keys_and_arrays(tmp_path, capsys):
     # checkpoints from earlier versions also stored mu as an array, the
-    # head's always-zero bias and four derived or unread header keys; a
-    # checkpoint holding them loads the same model
+    # head's always-zero bias and five derived or unread header keys, among
+    # them the encoder widths the seed fixes; a checkpoint holding them loads
+    # the same model
     data, protocol = tiny_data()
     res = run(tiny_config(), data, protocol)
     path = str(tmp_path / "legacy.mvcl")
     res.model.save_checkpoint(path)
     header, arrays = container.read_container(path)
     header.update(current_class=2, classes_consolidated=3,
-                  fusion_0_samples_absorbed=60, head_projector_samples=60)
+                  fusion_0_samples_absorbed=60, head_projector_samples=60, encoder_dims=[12])
     arrays["head/mu"] = np.array([res.model.head.mu])
     arrays["head/bias"] = np.zeros(len(res.model.slot_to_class))
     container.write_container(path, header, arrays)
@@ -246,10 +285,17 @@ CORRUPT_CHECKPOINTS = [
     ("list-config", lambda header, w: ({"config": []}, {}), "entry 'config' is malformed"),
     ("int-slots", lambda header, w: ({"slot_to_class": 5}, {}),
      "entry 'slot_to_class' is malformed"),
-    ("int-encoder-dims", lambda header, w: ({"encoder_dims": 5}, {}),
-     "entry 'encoder_dims' is malformed"),
     ("repeated-slots", lambda header, w: ({"slot_to_class": [0] * w.shape[1]}, {}),
      "slot_to_class repeats or is < 0"),
+    # well-kinded header values out of range
+    ("negative-session-index", lambda header, w: ({"session_index": -1}, {}),
+     "session_index is < 0"),
+    ("no-pending-fisher-samples",
+     lambda header, w: ({"pending_fisher_samples": 0}, {"head/pending_fisher": np.zeros_like(w)}),
+     "head/pending_fisher: Fisher estimate needs at least one sample"),
+    ("negative-pending-fisher",
+     lambda header, w: ({"pending_fisher_samples": 10}, {"head/pending_fisher": -np.ones_like(w)}),
+     "head/pending_fisher: Fisher diagonal must be nonnegative"),
 ]
 
 
@@ -334,13 +380,13 @@ def per_step_projection_loop(model, feats, slot_labels, project):
             steps += 1
             idx = perm[start : start + bs]
             x = feats[idx]
-            h, dact = model.fusion.forward_with_grad(x)
+            h = model.fusion.forward(x)
             grads = swc_loss_and_grad(model.head, h, slot_labels[idx])
             step_w = grads.grad_w
             if model.head_projector is not None:
                 step_w = model.head_projector.P @ step_w
             model.head.weights = model.head.weights - cfg.consolidation.head_lr * step_w
-            da = grads.grad_hidden * dact
+            da = grads.grad_hidden * (1.0 - h * h)
             grad_w = x.T @ da
             if project:
                 grad_w = P @ grad_w
