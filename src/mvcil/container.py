@@ -1,4 +1,4 @@
-"""Little-endian binary container for dataset caches and checkpoints.
+"""Binary container for dataset caches and checkpoints.
 
 Layout (all integers little-endian):
 
@@ -11,7 +11,7 @@ Layout (all integers little-endian):
         name_len   u16
         name       UTF-8 bytes
         dtype_len  u8
-        dtype      UTF-8 bytes, numpy dtype string, little-endian or endian-free
+        dtype      UTF-8 bytes, numpy dtype string in the array's own byte order
         ndim       u8
         shape      ndim * u64
         data       raw array bytes, C order
@@ -68,14 +68,6 @@ def _of_kind(value, kind) -> bool:
     return type(value) is kind
 
 
-def _canonical_dtype(arr: np.ndarray) -> np.ndarray:
-    """Return arr converted to a little-endian (or endian-free) dtype."""
-    dt = arr.dtype
-    if dt.byteorder == ">":
-        return arr.astype(dt.newbyteorder("<"))
-    return arr
-
-
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "w", **kwargs):
     """Open a temporary file next to `path` for writing. A clean exit
@@ -111,11 +103,7 @@ def write_container(path: str, header: dict, arrays: dict[str, np.ndarray]) -> N
         f.write(hdr_blob)
         f.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            arr = _canonical_dtype(np.asarray(arr))
-            if not arr.flags.c_contiguous:
-                # ascontiguousarray would also promote 0-d to 1-d, so
-                # only call it when a copy is actually needed
-                arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr, order="C")
             name_b = name.encode("utf-8")
             dtype_b = arr.dtype.str.encode("ascii")
             f.write(struct.pack("<H", len(name_b)))

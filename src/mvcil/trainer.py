@@ -371,6 +371,8 @@ class Model:
                 if arrays[name].shape != shape:
                     raise container.ContainerError(
                         f"{path!r}: {name} has shape {arrays[name].shape}, expected {shape}")
+                if not np.all(np.isfinite(arrays[name])):
+                    raise container.ContainerError(f"{path!r}: {name} has non-finite entries")
             for name, owner, attr in model._state():
                 setattr(owner, attr, arrays[name])
             model.session_index = container.entry(path, header, "session_index", int)

@@ -32,22 +32,28 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["box.mvcl"]  # no temp litter
 
 
-def test_big_endian_arrays_written_canonically(tmp_path):
-    arr = np.arange(4, dtype=">f8")
+def test_big_endian_arrays_round_trip_as_given(tmp_path):
+    arr = (np.arange(4) / 3).astype(">f8")
     path = str(tmp_path / "be.mvcl")
     write_container(path, {}, {"x": arr})
     _, back = read_container(path)
-    assert back["x"].dtype == np.dtype("<f8")
-    assert np.array_equal(back["x"], arr.astype("<f8"))
+    assert back["x"].dtype == np.dtype(">f8")
+    assert back["x"].tobytes() == arr.tobytes()
 
 
 def test_non_contiguous_arrays(tmp_path):
-    base = np.arange(24, dtype=np.float64).reshape(4, 6)
-    view = base[:, ::2]  # forces the contiguity copy on write
+    arrays = {
+        "strided": np.arange(24, dtype=np.float64).reshape(4, 6)[:, ::2],  # copied on write
+        "fortran": np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4)),
+        "scalar": np.array(2.5),  # stays 0-d
+    }
+    assert not arrays["fortran"].flags.c_contiguous
     path = str(tmp_path / "strided.mvcl")
-    write_container(path, {}, {"v": view})
+    write_container(path, {}, arrays)
     _, back = read_container(path)
-    assert np.array_equal(back["v"], view)
+    for name, arr in arrays.items():
+        assert back[name].shape == arr.shape
+        assert np.array_equal(back[name], arr)
 
 
 def test_bad_magic(tmp_path):

@@ -1,4 +1,3 @@
-import copy
 import gc
 import json
 import os
@@ -8,14 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
+import spec
 from mvcil import container, evaluation, trainer
 from mvcil.cli import EXIT_CONFIG, main
-from mvcil.consolidation import IMPRINT_SCALE, swc_loss_and_grad
+from mvcil.consolidation import IMPRINT_SCALE
 from mvcil.dataset import (
     SplitDataset,
     StreamProtocol,
     ViewBatch,
-    derive_seed,
     save_split,
     stream_sessions,
 )
@@ -281,6 +280,16 @@ CORRUPT_CHECKPOINTS = [
     # the right shape, but the weights truncated to integers
     ("int-head-weights", lambda header, w: ({}, {"head/weights": w.astype(np.int64)}),
      "head/weights has dtype int64"),
+    # the right shape and dtype, but entries that are not finite
+    ("nan-head-weights", lambda header, w: ({}, {"head/weights": np.full_like(w, np.nan)}),
+     "head/weights has non-finite entries"),
+    ("inf-fusion-projector",
+     lambda header, w: ({}, {"fusion/0/projector": np.full((6, 6), np.inf)}),
+     "fusion/0/projector has non-finite entries"),
+    ("nan-pending-fisher",
+     lambda header, w: ({"pending_fisher_samples": 10},
+                        {"head/pending_fisher": np.full_like(w, np.nan)}),
+     "head/pending_fisher has non-finite entries"),
     # header entries of the wrong kind, and slot ids that repeat
     ("list-config", lambda header, w: ({"config": []}, {}), "entry 'config' is malformed"),
     ("int-slots", lambda header, w: ({"slot_to_class": 5}, {}),
@@ -345,6 +354,22 @@ def test_finished_checkpoint_has_no_pending_fisher(tmp_path):
     assert "pending_fisher_samples" not in header
 
 
+def test_library_writes_native_little_endian_arrays(tmp_path):
+    # the container stores arrays as given, so caches and checkpoints stay
+    # byte-identical only while the library hands it <f8 and <i8 arrays
+    data, protocol = tiny_data()
+    save_split(str(tmp_path / "cache.mvcl"), data, protocol)
+    run(tiny_config(), data, protocol, out_dir=str(tmp_path / "run"))
+    model = Model(tiny_config())
+    model.train_session(data.train_batch(0, 0))
+    model.train_session(data.train_batch(1, 0))
+    model.save_checkpoint(str(tmp_path / "mid.mvcl"))
+    for name in ("cache.mvcl", "run/checkpoint.mvcl", "mid.mvcl"):
+        _, arrays = container.read_container(str(tmp_path / name))
+        assert {a.dtype.str for a in arrays.values()} <= {"<f8", "<i8"}, name
+    assert "head/pending_fisher" in arrays
+
+
 def test_fusion_layer_trains_and_absorbs_every_row(monkeypatch):
     data, protocol = tiny_data()
     init = Model(tiny_config())
@@ -362,37 +387,16 @@ def test_fusion_layer_trains_and_absorbs_every_row(monkeypatch):
     assert rows[id(res.model.fusion.projector)] == 3 * 2 * 10
 
 
-def per_step_projection_loop(model, feats, slot_labels, project):
-    """The supervised loop with the projection applied to the gradient at
-    every step, W -= eta * P @ (x.T @ da), or plain descent W -= eta * x.T @ da
-    when project is False; same RNG stream and step budget as the trainer."""
-    cfg = model.config
-    n = feats.shape[0]
-    bs = min(cfg.consolidation.batch_size, n)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0xB5, model.session_index))
-    P = model.fusion.projector.P
-    steps = 0
-    for _ in range(cfg.consolidation.epochs_per_session):
-        perm = rng.permutation(n)
-        for start in range(0, n, bs):
-            if steps >= cfg.consolidation.max_steps_per_session:
-                return steps
-            steps += 1
-            idx = perm[start : start + bs]
-            x = feats[idx]
-            h = model.fusion.forward(x)
-            grads = swc_loss_and_grad(model.head, h, slot_labels[idx])
-            step_w = grads.grad_w
-            if model.head_projector is not None:
-                step_w = model.head_projector.P @ step_w
-            model.head.weights = model.head.weights - cfg.consolidation.head_lr * step_w
-            da = grads.grad_hidden * (1.0 - h * h)
-            grad_w = x.T @ da
-            if project:
-                grad_w = P @ grad_w
-            model.fusion.weights = model.fusion.weights - cfg.fusion.eta * grad_w
-            model.fusion.bias = model.fusion.bias - cfg.fusion.eta * da.sum(axis=0)
-    return steps
+def per_step_projection_loop(model, feats, slot_labels):
+    """The session's steps as the spec takes them (`spec.supervised_steps`),
+    each fusion gradient projected by P, from a copy of `model`'s state;
+    returns the spec's learner after them and its step count."""
+    head_p = None if model.head_projector is None else model.head_projector.P.copy()
+    ref = spec.Learner(model.config, model.fusion.weights.copy(), model.fusion.bias.copy(),
+                       model.fusion.projector.P.copy(), model.head.weights.copy(),
+                       model.head.anchor.copy(), model.head.fisher_sum.copy(), head_p,
+                       model.head.mu, sessions=model.session_index)
+    return ref, spec.supervised_steps(ref, feats, slot_labels)
 
 
 # the two encoders give a width-8 layer d = 6 and d = 40 inputs: on 10-row
@@ -448,7 +452,7 @@ def test_session_projection_matches_per_step_projection(monkeypatch, encoder, ma
     model, feats, labels = two_sessions_then_third(FusionConfig(width=8), max_steps, encoder)
     d = encoder.n * encoder.L
     assert not np.allclose(model.fusion.projector.P, np.eye(d))
-    ref = copy.deepcopy(model)
+    ref, ref_steps = per_step_projection_loop(model, feats, labels)
     W0 = model.fusion.weights.copy()
     whole_plan = (encoder is SAMPLE_SPACE) != forced
     if forced:
@@ -456,12 +460,11 @@ def test_session_projection_matches_per_step_projection(monkeypatch, encoder, ma
         monkeypatch.setattr(trainer, "_sample_space_pays", lambda *args: not pays(*args))
     calls = counting_steps(monkeypatch)
     model._supervised_loop(feats, labels)
-    assert per_step_projection_loop(ref, feats, labels, project=True) == steps
+    assert ref_steps == steps
     assert len(calls) == (1 if whole_plan else steps)
     assert not np.allclose(model.fusion.weights, W0)
-    for got, want in ((model.fusion.weights, ref.fusion.weights),
-                      (model.fusion.bias, ref.fusion.bias),
-                      (model.head.weights, ref.head.weights)):
+    for got, want in ((model.fusion.weights, ref.W), (model.fusion.bias, ref.b),
+                      (model.head.weights, ref.head)):
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -470,15 +473,14 @@ def test_session_projection_matches_per_step_projection(monkeypatch, encoder, ma
 def test_disabled_projector_steps_by_plain_descent(monkeypatch, encoder):
     model, feats, labels = two_sessions_then_third(
         FusionConfig(width=8, projector_enabled=False), encoder=encoder)
-    ref = copy.deepcopy(model)
-    calls = counting_steps(monkeypatch)
-    model._supervised_loop(feats, labels)
-    steps = per_step_projection_loop(ref, feats, labels, project=False)
+    # P stays the identity, so the spec's projected steps are plain descent
     d = encoder.n * encoder.L
     assert np.array_equal(model.fusion.projector.P, np.eye(d))
-    pairs = ((model.fusion.weights, ref.fusion.weights),
-             (model.fusion.bias, ref.fusion.bias),
-             (model.head.weights, ref.head.weights))
+    ref, steps = per_step_projection_loop(model, feats, labels)
+    calls = counting_steps(monkeypatch)
+    model._supervised_loop(feats, labels)
+    pairs = ((model.fusion.weights, ref.W), (model.fusion.bias, ref.b),
+             (model.head.weights, ref.head))
     if encoder is PER_STEP:
         assert len(calls) == steps
         for got, want in pairs:
