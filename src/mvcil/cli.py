@@ -52,8 +52,8 @@ def _metric_line(avg: float, bwt_value: float | None) -> str:
 
 
 def parse_overrides(pairs: list[str]) -> dict:
-    """Parse --set key=value pairs against the config schema; raises
-    ConfigError before any work starts."""
+    """Parse --set key=value pairs, each known key by its schema type; an unknown
+    key stays a string, for `RunConfig.from_dict` to refuse with the rest."""
     types = config_field_types()
     out: dict = {}
     for pair in pairs:
@@ -61,14 +61,11 @@ def parse_overrides(pairs: list[str]) -> dict:
             raise ConfigError(f"override {pair!r} is not key=value")
         key, _, raw = pair.partition("=")
         key = key.strip()
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        typ = types[key]
+        typ = types.get(key, str)
         try:
-            value = BOOL_WORDS[raw.lower()] if typ is bool else typ(raw)
+            out[key] = BOOL_WORDS[raw.lower()] if typ is bool else typ(raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"cannot parse {raw!r} as {typ.__name__} for {key!r}") from exc
-        out[key] = value
     return out
 
 
@@ -112,6 +109,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     config = build_config(args.config, args.set)
     heldout = parse_heldout(args.heldout)
     name = args.protocol
+    unread = ({"--source-dir": args.source_dir, "--max-train-per-class": args.max_train_per_class,
+               "--max-test-per-class": args.max_test_per_class} if args.features
+              else {"--labels-file": args.labels_file})
+    if given := [flag for flag, value in unread.items() if value is not None]:
+        raise ConfigError(f"{', '.join(given)} cannot be used "
+                          f"{'with' if args.features else 'without'} --features")
     if args.features:
         if not args.labels_file:
             raise ConfigError("--features requires --labels-file")

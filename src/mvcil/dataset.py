@@ -108,14 +108,19 @@ class StreamProtocol:
         return [(c, v) for c in self.class_order for v in range(self.views_per_class)
                 if v not in held.get(c, ())]
 
-    def check(self, data: "SplitDataset") -> None:
-        """Refuse a dataset that cannot run this stream; reads batch ids only."""
+    def check(self, data: "SplitDataset") -> dict[tuple[int, int], ViewBatch]:
+        """Refuse a dataset that cannot run this stream; return its training batches by pair."""
         for what, mine, theirs in (("classes", self.num_classes, data.num_classes),
                                    ("views", self.views_per_class, data.views_per_class)):
             if mine != theirs:
                 raise ValueError(f"protocol has {mine} {what}, dataset has {theirs}")
+        pool = {}
+        for b in data.train:
+            if (pair := (b.class_id, b.view_id)) in pool:
+                raise ValueError(f"two training batches claim the (class, view) pair {pair}")
+            pool[pair] = b
         streamed = set(self.sessions())
-        if missing := streamed - {(b.class_id, b.view_id) for b in data.train}:
+        if missing := streamed - pool.keys():
             raise ValueError(f"the dataset lacks the training batches of the (class, view) "
                              f"pairs {sorted(missing)} that the protocol streams")
         if untested := sorted(set(self.class_order) - {b.class_id for b in data.test}):
@@ -125,6 +130,7 @@ class StreamProtocol:
             for side, is_streamed in (("held-out", False), ("streamed", True)):
                 if is_streamed not in tested:
                     raise ValueError(f"a held-out protocol needs test samples of {side} views")
+        return pool
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StreamProtocol":
@@ -187,12 +193,6 @@ class SplitDataset:
                     f"view {batch.view_id} batches disagree on input_dim: "
                     f"{batch.input_dim} vs {self.input_dim[batch.view_id]}"
                 )
-
-    def train_batch(self, class_id: int, view_id: int) -> ViewBatch:
-        for b in self.train:
-            if b.class_id == class_id and b.view_id == view_id:
-                return b
-        raise KeyError(f"no training batch for class {class_id}, view {view_id}")
 
 
 def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
@@ -416,9 +416,9 @@ def zscore_views(data: SplitDataset) -> SplitDataset:
 
 def stream_sessions(protocol: StreamProtocol, data: SplitDataset) -> Iterator[ViewBatch]:
     """`protocol.check(data)`, then the training batch of each of `protocol.sessions()`."""
-    protocol.check(data)
-    for c, v in protocol.sessions():
-        yield data.train_batch(c, v)
+    pool = protocol.check(data)
+    for pair in protocol.sessions():
+        yield pool[pair]
 
 
 def save_split(path: str, data: SplitDataset, protocol: StreamProtocol) -> None:

@@ -4,10 +4,13 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from mvcil import __version__
 from mvcil.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -28,6 +31,7 @@ from mvcil.dataset import (
 )
 from mvcil.trainer import ConfigError
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 METRIC_RE = re.compile(r"^avg_acc=[01]\.\d{6} bwt=(-?\d+\.\d{6}|null)$")
 
 TINY = [
@@ -178,6 +182,39 @@ def test_prepare_feature_tables(tmp_path, capsys):
     assert data.views_per_class == 1
 
 
+def three_class_two_view_tables(tmp_path):
+    """A 3-class, 2-view feature table of 20 rows per class, and its labels."""
+    rng = np.random.default_rng(0)
+    views = []
+    for v, width in enumerate((2, 3)):
+        views.append(tmp_path / f"v{v}.csv")
+        np.savetxt(views[-1], rng.standard_normal((60, width)), delimiter=",")
+    labels = tmp_path / "y.txt"
+    labels.write_text("\n".join(str(i % 3) for i in range(60)) + "\n")
+    return [str(v) for v in views], str(labels)
+
+
+@pytest.mark.parametrize("flag", ["--max-train-per-class", "--max-test-per-class",
+                                  "--source-dir"])
+def test_prepare_features_refuses_a_flag_it_never_reads(tmp_path, capsys, flag):
+    views, labels = three_class_two_view_tables(tmp_path)
+    value = make_idx_dir(tmp_path) if flag == "--source-dir" else "3"
+    out = tmp_path / "cache" / "feat.mvcl"
+    assert main(["prepare", "--protocol", "feat", "--features", *views,
+                 "--labels-file", labels, flag, value, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {flag} cannot be used with --features\n"
+    assert not out.exists()
+
+
+def test_prepare_refuses_labels_file_without_features(tmp_path, capsys):
+    _, labels = three_class_two_view_tables(tmp_path)
+    out = tmp_path / "cache" / "idx.mvcl"
+    assert main(["prepare", "--protocol", "pmnist-3x2", "--source-dir", make_idx_dir(tmp_path),
+                 "--labels-file", labels, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --labels-file cannot be used without --features\n"
+    assert not out.exists()
+
+
 def test_prepare_zscore_and_heldout(tmp_path, capsys):
     cache = prepare_cache(tmp_path, extra=["--zscore", "--heldout", "0:1"])
     capsys.readouterr()
@@ -288,6 +325,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     not_text.write_bytes(b"\xff")
     dotted = tmp_path / "dotted.json"
     dotted.write_text(json.dumps({"fusion.alpha": 0.5}))
+    bogus2 = tmp_path / "bogus2.json"
+    bogus2.write_text(json.dumps({"fusion": {"bogus2": 1}}))
     for argv, message in (
             (["train", "--cache", "none.mvcl", "--config", str(as_list)],
              f"{str(as_list)!r} must contain a JSON object"),
@@ -297,6 +336,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
              f"{str(not_text)!r} is not valid JSON"),
             (["train", "--cache", "none.mvcl", "--config", str(dotted)],
              "unknown config key 'fusion.alpha'"),
+            # unknown keys of the file and of --set, in one message
+            (["train", "--cache", "none.mvcl", "--config", str(bogus2), "--set", "fusion.bogus=1"],
+             "error: unknown config keys ['fusion.bogus', 'fusion.bogus2']\n"),
             (["prepare", "--protocol", "pmnist-3x2", "--source-dir", src, "--heldout", "a:1"],
              "held-out entry 'a:1' is not numeric")):
         assert main(argv) == EXIT_CONFIG, argv
@@ -568,12 +610,13 @@ def test_parse_overrides_types():
         "fusion.projector_enabled": True}
     with pytest.raises(ConfigError, match="not key=value"):
         parse_overrides(["seed"])
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_overrides(["bogus=1"])
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_overrides(["consolidation.train_head_bias=false"])  # retired
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_overrides(["fusion.projector_enabled=maybe"])
+    # an unknown key stays unparsed; the config reader refuses it with the rest
+    assert parse_overrides(["bogus=1"]) == {"bogus": "1"}
+    with pytest.raises(ConfigError, match=r"unknown config keys "
+                                          r"\['bogus', 'consolidation.train_head_bias'\]$"):
+        build_config(None, ["bogus=1", "consolidation.train_head_bias=false"])  # retired
 
 
 def test_build_config_checks_mode_with_the_config():
@@ -608,3 +651,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("mvcil ")
+
+
+def run_module(*argv, cwd):
+    """`python -m mvcil *argv` in a fresh interpreter that finds mvcil on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "mvcil", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_prints_the_version(tmp_path):
+    done = run_module("--version", cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"mvcil {__version__}\n", "")
+
+
+def test_module_entry_point_exits_with_the_cli_code(tmp_path):
+    done = run_module("train", "--cache", str(tmp_path / "missing.mvcl"), cwd=tmp_path)
+    assert done.returncode == EXIT_IO
+    assert done.stderr.startswith("i/o error: ") and "missing.mvcl" in done.stderr

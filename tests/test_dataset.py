@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -37,6 +38,13 @@ def toy_base(num_classes=2, dim=8, n_train=5, n_test=3, seed=0):
         test.append(ViewBatch(c, 0, rng.standard_normal((n_test, dim)),
                               np.full(n_test, c, np.int64)))
     return SplitDataset(train, test, num_classes, 1, dim)
+
+
+def train_pool(data):
+    """The training batch of each (class, view) pair of `data`, as
+    `StreamProtocol.check` maps them."""
+    classes = tuple(range(data.num_classes))
+    return StreamProtocol("t", data.num_classes, data.views_per_class, classes, 0).check(data)
 
 
 def assert_batches_own_inputs(batches, sources):
@@ -131,14 +139,6 @@ def test_split_dataset_validates_batches():
     assert SplitDataset([good], [], 1, 2, [3, 5]).input_dim == (3, 5)
 
 
-def test_train_batch_lookup():
-    data = toy_base(num_classes=2)
-    assert data.train_batch(1, 0).class_id == 1
-    with pytest.raises(KeyError):
-        data.train_batch(0, 1)
-    assert [b.class_id for b in data.test if b.class_id == 0] == [0]
-
-
 def test_load_idx_hand_bytes(tmp_path):
     images = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
     write_idx_images(tmp_path / "im", images)
@@ -218,13 +218,14 @@ def test_split_by_class_caps_take_first_in_file_order():
     X = (np.arange(10, dtype=np.float64) / 10).reshape(10, 1)
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
     data = split_by_class(X, y, X, y, 2, max_train_per_class=2, max_test_per_class=1)
-    assert data.train_batch(0, 0).inputs[:, 0].tolist() == [0.0, 0.2]
-    assert data.train_batch(1, 0).inputs[:, 0].tolist() == [0.1, 0.3]
+    pool = train_pool(data)
+    assert pool[0, 0].inputs[:, 0].tolist() == [0.0, 0.2]
+    assert pool[1, 0].inputs[:, 0].tolist() == [0.1, 0.3]
     (test_b,) = [b for b in data.test if b.class_id == 1]
     assert test_b.num_samples == 1
     assert test_b.inputs[0, 0] == 0.1
     uncapped = split_by_class(X, y, X, y, 2)
-    assert uncapped.train_batch(0, 0).num_samples == 5
+    assert train_pool(uncapped)[0, 0].num_samples == 5
     for split in (data, uncapped):
         assert_batches_own_inputs(split.train + split.test, [X, y])
 
@@ -255,14 +256,15 @@ def test_permuted_views_identity_and_shared_perms():
     data = make_permuted_views(base, 3, seed=4)
     assert data.views_per_class == 3
     assert len(data.train) == 2 * 3
+    pool = train_pool(data)
     for c in range(2):
-        assert np.array_equal(data.train_batch(c, 0).inputs, base.train[c].inputs)
-    perm1 = data.train_batch(0, 1).inputs[0].astype(int)
-    perm2 = data.train_batch(0, 2).inputs[0].astype(int)
+        assert np.array_equal(pool[c, 0].inputs, base.train[c].inputs)
+    perm1 = pool[0, 1].inputs[0].astype(int)
+    perm2 = pool[0, 2].inputs[0].astype(int)
     assert sorted(perm1) == list(range(8))
     assert not np.array_equal(perm1, perm2)
     # same perm across classes and across the train/test pools
-    assert np.array_equal(data.train_batch(1, 1).inputs, base.train[1].inputs[:, perm1])
+    assert np.array_equal(pool[1, 1].inputs, base.train[1].inputs[:, perm1])
     test_v1 = [b for b in data.test if b.class_id == 0 and b.view_id == 1]
     assert np.array_equal(test_v1[0].inputs, base.test[0].inputs[:, perm1])
 
@@ -272,8 +274,8 @@ def test_permuted_views_deterministic_by_seed():
     a = make_permuted_views(base, 2, seed=7)
     b = make_permuted_views(base, 2, seed=7)
     c = make_permuted_views(base, 2, seed=8)
-    assert np.array_equal(a.train_batch(0, 1).inputs, b.train_batch(0, 1).inputs)
-    assert not np.array_equal(a.train_batch(0, 1).inputs, c.train_batch(0, 1).inputs)
+    assert np.array_equal(train_pool(a)[0, 1].inputs, train_pool(b)[0, 1].inputs)
+    assert not np.array_equal(train_pool(a)[0, 1].inputs, train_pool(c)[0, 1].inputs)
 
 
 def test_permuted_views_validation():
@@ -298,12 +300,12 @@ def test_synthesized_views_shapes_and_determinism():
     assert data.views_per_class == 2
     assert data.input_dim == (cfg.n * cfg.L,) * 2
     assert len(data.train) == 2 and len(data.test) == 2
-    v0 = data.train_batch(0, 0)
-    v1 = data.train_batch(0, 1)
+    pool = train_pool(data)
+    v0, v1 = pool[0, 0], pool[0, 1]
     assert v0.inputs.shape == (6, 6)
     assert np.array_equal(v0.labels, base.train[0].labels)
     assert not np.array_equal(v0.inputs, v1.inputs)  # independently seeded encoders
-    assert np.array_equal(v0.inputs, again.train_batch(0, 0).inputs)
+    assert np.array_equal(v0.inputs, train_pool(again)[0, 0].inputs)
     with pytest.raises(ValueError, match="single-view base"):
         make_synthesized_views(data, 2, cfg, seed=0)
     with pytest.raises(ValueError, match=">= 1"):
@@ -329,7 +331,7 @@ def test_feature_tables_round_trip_and_remap(tmp_path, monkeypatch):
     assert data.views_per_class == 2
     assert data.input_dim == (2, 2)
     # labels 3 and 7 remap to 0 and 1 by sorted value; class 0 owns rows 1, 3
-    got = np.concatenate([data.train_batch(0, 0).inputs,
+    got = np.concatenate([train_pool(data)[0, 0].inputs,
                           [b for b in data.test if b.class_id == 0][0].inputs])
     assert np.array_equal(got[np.argsort(got[:, 0])], np.array([[3.0, 4.0], [7.0, 8.0]]))
     for b in data.train + data.test:
@@ -340,7 +342,7 @@ def test_feature_tables_round_trip_and_remap(tmp_path, monkeypatch):
         [str(tmp_path / "v0.csv"), str(tmp_path / "v1.txt")],
         str(tmp_path / "y.txt"), train_fraction=0.5, seed=0,
     )
-    assert np.array_equal(data.train_batch(1, 1).inputs, same.train_batch(1, 1).inputs)
+    assert np.array_equal(train_pool(data)[1, 1].inputs, train_pool(same)[1, 1].inputs)
 
 
 def test_feature_tables_heterogeneous_dims(tmp_path):
@@ -352,7 +354,7 @@ def test_feature_tables_heterogeneous_dims(tmp_path):
         str(tmp_path / "y.txt"), train_fraction=0.5, seed=0,
     )
     assert data.input_dim == (2, 3)
-    assert data.train_batch(0, 1).input_dim == 3
+    assert train_pool(data)[0, 1].input_dim == 3
 
 
 def test_feature_table_errors(tmp_path):
@@ -403,7 +405,7 @@ def test_feature_split_keeps_a_test_sample_per_class(tmp_path):
     data = load_feature_views([str(tmp_path / "v.txt")], str(tmp_path / "y.txt"),
                               train_fraction=0.9, seed=0)
     # round(0.9 * 2) would leave class 1 without test data; the split caps at n-1
-    assert data.train_batch(1, 0).num_samples == 1
+    assert train_pool(data)[1, 0].num_samples == 1
     assert [b for b in data.test if b.class_id == 1][0].num_samples == 1
     (tmp_path / "y1.txt").write_text("0\n0\n0\n0\n0\n0\n0\n1\n")
     with pytest.raises(ValueError, match="too few samples"):
@@ -455,6 +457,55 @@ def test_stream_protocol_data_mismatch():
         list(stream_sessions(proto, SplitDataset(full.train, full.test[1:], 3, 1, 8)))
 
 
+def repeated_pair_pool():
+    """Two classes, one view, and a second training batch for (0, 0): 5 rows
+    and then 7, as two sessions of one pair would arrive."""
+    data = toy_base(num_classes=2, dim=4)
+    extra = ViewBatch(0, 0, np.ones((7, 4)), np.zeros(7, np.int64))
+    return SplitDataset(data.train + [extra], data.test, 2, 1, 4)
+
+
+def test_check_maps_each_training_pair_to_its_batch():
+    data = make_permuted_views(toy_base(num_classes=2, dim=5), 2, seed=3)
+    pool = StreamProtocol("t", 2, 2, (1, 0), 0, {0: frozenset({1})}).check(data)
+    # held-out pairs are mapped too: the map is the pool, not the stream
+    assert list(pool) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(pool[b.class_id, b.view_id] is b for b in data.train)
+
+
+def test_a_training_pair_claimed_twice_is_refused():
+    data = repeated_pair_pool()
+    proto = StreamProtocol("t", 2, 1, (0, 1), 0)
+    message = r"two training batches claim the \(class, view\) pair \(0, 0\)"
+    with pytest.raises(ValueError, match=message):
+        proto.check(data)
+    with pytest.raises(ValueError, match=message):
+        list(stream_sessions(proto, data))
+    # a repeated pair that the protocol holds out is refused as well
+    views = make_permuted_views(toy_base(num_classes=2, dim=4), 2, seed=0)
+    twice = SplitDataset(views.train + [views.train[1]], views.test, 2, 2, 4)
+    with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+        StreamProtocol("t", 2, 2, (0, 1), 0, {0: frozenset({1})}).check(twice)
+    # test pools may repeat a pair
+    data = toy_base(num_classes=2, dim=4)
+    mixed = SplitDataset(data.train, data.test + data.test, 2, 1, 4)
+    assert [b.num_samples for b in stream_sessions(proto, mixed)] == [5, 5]
+
+
+def test_load_split_refuses_a_repeated_training_pair(tmp_path):
+    path = str(tmp_path / "twice.mvcl")
+    save_split(path, toy_base(num_classes=2, dim=4), StreamProtocol("t", 2, 1, (0, 1), 0))
+    header, arrays = container.read_container(path)
+    header["batches"]["train"].append([0, 0])
+    arrays["train/2/inputs"] = np.ones((7, 4))
+    arrays["train/2/labels"] = np.zeros(7, np.int64)
+    container.write_container(path, header, arrays)
+    with pytest.raises(container.ContainerError,
+                       match=rf"^{re.escape(repr(path))}, entry 'protocol': two training "
+                             r"batches claim the \(class, view\) pair \(0, 0\)$"):
+        load_split(path)
+
+
 def test_save_load_round_trip(tmp_path):
     base = toy_base(num_classes=2, dim=5)
     data = make_permuted_views(base, 2, seed=7)
@@ -481,6 +532,8 @@ def test_save_split_refuses_a_dataset_its_protocol_cannot_stream(tmp_path):
     path = tmp_path / "gappy.mvcl"
     with pytest.raises(ValueError, match=r"pairs \[\(1, 0\)\] that the protocol streams"):
         save_split(str(path), gappy, proto)
+    with pytest.raises(ValueError, match=r"two training batches claim .* pair \(0, 0\)"):
+        save_split(str(path), repeated_pair_pool(), StreamProtocol("t", 2, 1, (0, 1), 0))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -92,33 +92,33 @@ def test_modes_wire_penalty_and_projectors():
 
 
 def test_out_of_order_stream_rejected():
-    data, _ = tiny_data()
+    data, protocol = tiny_data()
+    pool = protocol.check(data)
     model = Model(tiny_config())
-    model.train_session(data.train_batch(0, 0))
-    model.train_session(data.train_batch(1, 0))
+    model.train_session(pool[0, 0])
+    model.train_session(pool[1, 0])
     with pytest.raises(ValueError, match="out-of-order"):
-        model.train_session(data.train_batch(0, 1))
+        model.train_session(pool[0, 1])
 
 
 def test_slot_labels_follow_arrival_order():
-    data, _ = tiny_data(num_classes=3, views=1)
+    data, protocol = tiny_data(num_classes=3, views=1)
+    pool = protocol.check(data)
     model = Model(tiny_config())
     for cid in (2, 0, 1):
-        model.train_session(data.train_batch(cid, 0))
+        model.train_session(pool[cid, 0])
     assert model.slot_to_class == [2, 0, 1]
     preds = model.predict_labels([b for b in data.test if b.class_id == 0][0])
     assert set(preds.tolist()) <= {0, 1, 2}  # predictions are class ids, not slots
 
 
 def test_state_size_independent_of_sessions_per_class():
-    few, _ = tiny_data(num_classes=2, views=2)
-    many, _ = tiny_data(num_classes=2, views=6)
     sizes = []
-    for data in (few, many):
+    for views in (2, 6):
+        data, protocol = tiny_data(num_classes=2, views=views)
         model = Model(tiny_config())
-        for c in range(data.num_classes):
-            for v in range(data.views_per_class):
-                model.train_session(data.train_batch(c, v))
+        for batch in stream_sessions(protocol, data):
+            model.train_session(batch)
         model.finish_stream()
         sizes.append(model.state_size_bytes())
     assert sizes[0] == sizes[1]
@@ -321,7 +321,8 @@ def test_checkpoint_shapes_must_match_config_and_slots(tiny_checkpoint, tmp_path
 
 
 def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
-    data, _ = tiny_data(num_classes=2, views=3)
+    data, protocol = tiny_data(num_classes=2, views=3)
+    pool = protocol.check(data)
     original = trainer.fisher_diag
     estimates = []
 
@@ -331,10 +332,10 @@ def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trainer, "fisher_diag", recording)
     model = Model(tiny_config())
-    model.train_session(data.train_batch(0, 0))
+    model.train_session(pool[0, 0])
     # the second class: a lone first class has a vanishing Fisher
     for v in range(3):
-        model.train_session(data.train_batch(1, v))
+        model.train_session(pool[1, v])
     path = str(tmp_path / "mid.mvcl")
     model.save_checkpoint(path)
     header, arrays = container.read_container(path)
@@ -361,8 +362,9 @@ def test_library_writes_native_little_endian_arrays(tmp_path):
     save_split(str(tmp_path / "cache.mvcl"), data, protocol)
     run(tiny_config(), data, protocol, out_dir=str(tmp_path / "run"))
     model = Model(tiny_config())
-    model.train_session(data.train_batch(0, 0))
-    model.train_session(data.train_batch(1, 0))
+    pool = protocol.check(data)
+    model.train_session(pool[0, 0])
+    model.train_session(pool[1, 0])
     model.save_checkpoint(str(tmp_path / "mid.mvcl"))
     for name in ("cache.mvcl", "run/checkpoint.mvcl", "mid.mvcl"):
         _, arrays = container.read_container(str(tmp_path / name))
@@ -410,7 +412,8 @@ def two_sessions_then_third(fusion, max_steps_per_session=7, encoder=PER_STEP):
     """A model after sessions (0, 0) and (1, 0), plus the features and slot
     labels of session (1, 1). Each session has 10 samples, batch 4 and 3
     epochs: 9 steps unless the budget binds first."""
-    data, _ = tiny_data(num_classes=2, views=2)
+    data, protocol = tiny_data(num_classes=2, views=2)
+    pool = protocol.check(data)
     model = Model(tiny_config(
         encoder=encoder,
         fusion=fusion,
@@ -418,9 +421,9 @@ def two_sessions_then_third(fusion, max_steps_per_session=7, encoder=PER_STEP):
                                           max_steps_per_session=max_steps_per_session,
                                           head_lr=3e-3),
     ))
-    model.train_session(data.train_batch(0, 0))
-    model.train_session(data.train_batch(1, 0))
-    batch = data.train_batch(1, 1)
+    model.train_session(pool[0, 0])
+    model.train_session(pool[1, 0])
+    batch = pool[1, 1]
     return model, model.extract(batch), np.full(batch.num_samples, 1, np.int64)
 
 
@@ -517,8 +520,9 @@ def test_sample_space_leaves_the_layer_unwritten_on_a_bad_step(monkeypatch):
         return grads
 
     monkeypatch.setattr(trainer, "swc_loss_and_grad", bad_at_third_step)
+    data, protocol = tiny_data(num_classes=2, views=2)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        model.train_session(tiny_data(num_classes=2, views=2)[0].train_batch(1, 1))
+        model.train_session(protocol.check(data)[1, 1])
     assert len(seen) > 3 and calls == []
     assert np.array_equal(model.fusion.weights, W0)
     assert np.array_equal(model.fusion.bias, b0)
@@ -661,6 +665,22 @@ def test_run_missing_a_training_batch_fails_before_writing(tmp_path, monkeypatch
     with pytest.raises(ValueError, match=match):
         run(tiny_config(), gappy, protocol, out_dir=str(out))
     assert not out.exists()
+
+
+def test_run_refuses_a_repeated_training_pair_before_its_first_session(tmp_path,
+                                                                      monkeypatch):
+    data, protocol = tiny_data()
+    first = data.train[0]
+    again = ViewBatch(0, 0, first.inputs[:5], first.labels[:5])
+    twice = SplitDataset(data.train + [again], data.test, data.num_classes,
+                         data.views_per_class, data.input_dim)
+    sessions = []
+    monkeypatch.setattr(Model, "train_session", lambda self, batch: sessions.append(batch))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"two training batches claim the \(class, view\) "
+                                         r"pair \(0, 0\)"):
+        run(tiny_config(), twice, protocol, out_dir=str(out))
+    assert sessions == [] and not out.exists()
 
 
 def test_failed_manifest_write_keeps_the_previous_one(tmp_path, monkeypatch):
