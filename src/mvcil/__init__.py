@@ -8,6 +8,8 @@ CLI (`mvcil`).
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .consolidation import (
     DecisionHead,
     FisherEstimate,
@@ -47,40 +49,6 @@ from .trainer import (
     run,
 )
 
-__all__ = [
-    "AccuracyMatrix",
-    "ConfigError",
-    "ConsolidationConfig",
-    "DecisionHead",
-    "ExtractionConfig",
-    "FisherEstimate",
-    "FusionConfig",
-    "FusionLayer",
-    "Model",
-    "Projector",
-    "RandomEncoder",
-    "RunConfig",
-    "RunResult",
-    "SplitDataset",
-    "StreamProtocol",
-    "ViewBatch",
-    "ViewFeature",
-    "avg_acc",
-    "bwt",
-    "end_of_class",
-    "evaluate_classes",
-    "expand_head",
-    "extract_view_feature",
-    "familiar_view_eval",
-    "fisher_diag",
-    "fista_fit",
-    "load_feature_views",
-    "load_idx",
-    "make_permuted_views",
-    "make_protocol",
-    "make_synthesized_views",
-    "run",
-    "split_by_class",
-    "stream_sessions",
-    "swc_loss_and_grad",
-]
+# every public name imported above; the submodules are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -106,34 +106,37 @@ def parse_heldout(spec: str | None) -> dict[int, list[int]] | None:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    config = build_config(args.config, args.set)
     heldout = parse_heldout(args.heldout)
     name = args.protocol
-    unread = ({"--source-dir": args.source_dir, "--max-train-per-class": args.max_train_per_class,
-               "--max-test-per-class": args.max_test_per_class} if args.features
-              else {"--labels-file": args.labels_file})
-    if given := [flag for flag, value in unread.items() if value is not None]:
-        raise ConfigError(f"{', '.join(given)} cannot be used "
-                          f"{'with' if args.features else 'without'} --features")
+    m = None if args.features else PROTOCOL_RE.match(name)
+    if not (args.features or m):
+        raise ConfigError(f"protocol {name!r} does not match (p|s)<base>-<classes>x<views>")
+    # the flags this source never reads, by why; only synthesized views read the encoder section
+    encoder_flags = {"--config": args.config, "--set": args.set or None}
+    if args.features:
+        unread = {"with --features": {"--source-dir": args.source_dir,
+                                      "--max-train-per-class": args.max_train_per_class,
+                                      "--max-test-per-class": args.max_test_per_class,
+                                      **encoder_flags}}
+    else:
+        unread = {"without --features": {"--labels-file": args.labels_file,
+                                         "--train-fraction": args.train_fraction}}
+        if m.group("kind") == "p":
+            unread["with a p protocol"] = encoder_flags
+    if refused := [f"{', '.join(given)} cannot be used {why}" for why, flags in unread.items()
+                   if (given := [flag for flag, value in flags.items() if value is not None])]:
+        raise ConfigError("; ".join(refused))
+    config = build_config(args.config, args.set)
     if args.features:
         if not args.labels_file:
             raise ConfigError("--features requires --labels-file")
-        data = dataset.load_feature_views(args.features, args.labels_file,
-                                          train_fraction=args.train_fraction,
-                                          seed=args.seed)
+        split = {} if args.train_fraction is None else {"train_fraction": args.train_fraction}
+        data = dataset.load_feature_views(args.features, args.labels_file, seed=args.seed, **split)
     else:
-        m = PROTOCOL_RE.match(args.protocol)
-        if not m:
-            raise ConfigError(
-                f"protocol {args.protocol!r} does not match (p|s)<base>-<classes>x<views>"
-            )
         if not args.source_dir:
-            raise ConfigError(f"protocol {args.protocol!r} requires --source-dir")
+            raise ConfigError(f"protocol {name!r} requires --source-dir")
         num_classes, num_views = int(m.group("c")), int(m.group("v"))
         paths = {k: os.path.join(args.source_dir, v) for k, v in IDX_FILES.items()}
-        for p in paths.values():
-            if not os.path.exists(p):
-                raise FileNotFoundError(p)
         train_X, train_y = dataset.load_idx(paths["train_images"], paths["train_labels"])
         test_X, test_y = dataset.load_idx(paths["test_images"], paths["test_labels"])
         base = dataset.split_by_class(
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-dir", help="directory with the four IDX files")
     p.add_argument("--features", nargs="+", help="per-view feature table files")
     p.add_argument("--labels-file", help="labels for --features tables")
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--train-fraction", type=float, help="train share of each --features class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-train-per-class", type=int)
     p.add_argument("--max-test-per-class", type=int)

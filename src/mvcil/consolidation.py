@@ -141,8 +141,6 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
     H = np.asarray(H, dtype=np.float64)
     labels = np.asarray(labels)
     n = H.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= head.classes_seen:
         raise ValueError(
             f"labels must lie in [0, {head.classes_seen}), got range "
@@ -159,7 +157,7 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
 
     loss = ce
     c_anchor = head.anchor.shape[1]
-    if head.mu > 0 and c_anchor > 0:
+    if c_anchor > 0:
         drift = head.weights[:, :c_anchor] - head.anchor
         fsum = head.fisher_sum[:, :c_anchor]
         loss = ce + 0.5 * head.mu * float(np.sum(fsum * drift * drift))

@@ -150,7 +150,7 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             dtype_str = take(dtype_len, f"array {name} dtype").decode("ascii")
             try:
                 dtype = np.dtype(dtype_str)
-            except TypeError as exc:
+            except (TypeError, ValueError, SyntaxError) as exc:  # as np.dtype raises them
                 raise ContainerError(f"array {name} has unknown dtype {dtype_str!r}") from exc
             if dtype.hasobject:
                 raise ContainerError(f"array {name} has object dtype {dtype.str!r}")

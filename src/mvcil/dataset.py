@@ -51,6 +51,11 @@ class ViewBatch:
         if self.class_id < 0 or self.view_id < 0:
             raise ValueError(f"class_id and view_id must be >= 0, got "
                              f"{self.class_id}, {self.view_id}")
+        # nothing is cast: a string label equals no prediction, a complex input loses a part
+        if self.inputs.dtype.kind not in "iuf":
+            raise ValueError(f"inputs must be real numbers, got dtype {self.inputs.dtype.str!r}")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype.str!r}")
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ValueError(f"inputs must be [N >= 1 x dim], got shape {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
@@ -81,10 +86,15 @@ class StreamProtocol:
     heldout_views: Mapping[int, frozenset[int]] | None = None
 
     def __post_init__(self) -> None:
+        # any map of class -> views is stored as {int: frozenset[int]}, an empty one as None
+        held = self.heldout_views
+        object.__setattr__(self, "heldout_views", {int(c): frozenset(map(int, vs))
+                                                   for c, vs in held.items()} if held else None)
         c, v = self.num_classes, self.views_per_class
         if c < 1 or v < 1:
             raise ValueError(f"need >= 1 classes and views, got C={c}, V={v}")
-        if sorted(self.class_order) != list(range(c)):
+        # the length first: a huge num_classes must not build its range
+        if len(self.class_order) != c or sorted(self.class_order) != list(range(c)):
             raise ValueError(f"class_order must be a permutation of 0..{c - 1}")
         if self.heldout_views:
             for cls, views in self.heldout_views.items():
@@ -118,6 +128,10 @@ class StreamProtocol:
         for b in data.train:
             if (pair := (b.class_id, b.view_id)) in pool:
                 raise ValueError(f"two training batches claim the (class, view) pair {pair}")
+            # the trainer trains a batch as its class, whatever its labels say
+            if np.count_nonzero(b.labels != b.class_id):
+                raise ValueError(f"the training batch of the (class, view) pair {pair} "
+                                 f"holds labels other than {b.class_id}")
             pool[pair] = b
         streamed = set(self.sessions())
         if missing := streamed - pool.keys():
@@ -134,10 +148,8 @@ class StreamProtocol:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StreamProtocol":
-        held = raw.get("heldout_views")
         return cls(raw["name"], raw["num_classes"], raw["views_per_class"],
-                   tuple(raw["class_order"]), raw["seed"],
-                   {int(c): frozenset(v) for c, v in held.items()} if held else None)
+                   tuple(raw["class_order"]), raw["seed"], raw.get("heldout_views"))
 
 
 def derive_seed(*parts: int) -> np.random.SeedSequence:
@@ -155,10 +167,7 @@ def make_protocol(
     """Protocol with a seeded random class order (recorded, reproducible)."""
     rng = np.random.default_rng(derive_seed(seed, 0x5747))
     order = tuple(int(i) for i in rng.permutation(num_classes))
-    held = None
-    if heldout_views:
-        held = {int(c): frozenset(int(v) for v in vs) for c, vs in heldout_views.items()}
-    return StreamProtocol(name, num_classes, views_per_class, order, seed, held)
+    return StreamProtocol(name, num_classes, views_per_class, order, seed, heldout_views)
 
 
 @dataclass
@@ -284,8 +293,6 @@ def _derive_views(
 ) -> SplitDataset:
     """Views 0..num_views-1 of each batch of a single-view base, listed
     batch-major; `view_inputs(v, batch)` gives view v's inputs, `dim` wide."""
-    if num_views < 1:
-        raise ValueError(f"num_views must be >= 1, got {num_views}")
     if base.views_per_class != 1:
         raise ValueError("derived views require a single-view base dataset")
     train, test = (

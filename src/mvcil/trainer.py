@@ -95,8 +95,6 @@ class RunConfig:
             raise ConfigError(f"unsupported config schema_version {version}")
         flat: dict = {}
         for key, value in raw.items():
-            if "." in key:
-                raise ConfigError(f"unknown config key {key!r}")
             if key in SECTIONS:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be an object")
@@ -104,7 +102,8 @@ class RunConfig:
             else:
                 flat[key] = value
         flat.update(overrides or {})
-        unknown = flat.keys() - config_field_types()
+        # a dotted key belongs to `overrides`; at the top of `raw` it is unknown
+        unknown = (flat.keys() - config_field_types()) | {key for key in raw if "." in key}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         top: dict = {}
@@ -351,8 +350,11 @@ class Model:
             config = RunConfig.from_dict(container.entry(path, header, "config", dict))
             model = cls(config)
             slots = model.slot_to_class = container.entry(path, header, "slot_to_class", list[int])
-            if min(slots, default=0) < 0 or len(set(slots)) < len(slots):
-                raise container.ContainerError(f"{path!r}: slot_to_class repeats or is < 0")
+            # predict_labels holds the slot ids as int64
+            if (min(slots, default=0) < 0 or max(slots, default=0) >= 2**63
+                    or len(set(slots)) < len(slots)):
+                raise container.ContainerError(
+                    f"{path!r}: slot_to_class repeats or is < 0 or >= 2**63")
             # a fresh model fixes every shape but the head's: one column per
             # slot, of which the anchor covers the classes consolidated so far
             head_shape = (config.fusion.width, len(model.slot_to_class))

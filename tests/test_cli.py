@@ -215,6 +215,49 @@ def test_prepare_refuses_labels_file_without_features(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prepare_names_every_flag_it_would_ignore_in_one_message(tmp_path, capsys):
+    views, labels = three_class_two_view_tables(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    idx = ["--source-dir", make_idx_dir(tmp_path)]
+    features = ["--features", *views, "--labels-file", labels]
+    for argv, message in (
+            # only --features tables are split by --train-fraction
+            (["--protocol", "pmnist-3x2", *idx, "--train-fraction", "0.3"],
+             "--train-fraction cannot be used without --features"),
+            # only synthesized views read the encoder section
+            (["--protocol", "pmnist-3x2", *idx, "--set", "encoder.n=99"],
+             "--set cannot be used with a p protocol"),
+            (["--protocol", "pmnist-3x2", *idx, "--config", str(config)],
+             "--config cannot be used with a p protocol"),
+            (["--protocol", "feat", *features, "--config", str(config), "--set", "encoder.n=99"],
+             "--config, --set cannot be used with --features"),
+            (["--protocol", "pmnist-3x2", *idx, "--labels-file", labels, "--train-fraction",
+              "0.3", "--config", str(config), "--set", "encoder.n=99"],
+             "--labels-file, --train-fraction cannot be used without --features; "
+             "--config, --set cannot be used with a p protocol"),
+            (["--protocol", "feat", *features, "--source-dir", "x", "--set", "encoder.n=99"],
+             "--source-dir, --set cannot be used with --features")):
+        out = tmp_path / "cache" / "refused.mvcl"
+        assert main(["prepare", *argv, "--out", str(out)]) == EXIT_CONFIG, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_prepare_features_split_defaults_to_a_train_fraction_of_0_8(tmp_path, capsys):
+    views, labels = three_class_two_view_tables(tmp_path)
+    digests = []
+    for name, extra in (("default", []), ("explicit", ["--train-fraction", "0.8"])):
+        out = tmp_path / "cache" / f"{name}.mvcl"
+        assert main(["prepare", "--protocol", "feat", "--features", *views,
+                     "--labels-file", labels, "--out", str(out), *extra]) == EXIT_OK
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert digests[0] == digests[1]
+    data, _, _ = load_split(str(tmp_path / "cache" / "default.mvcl"))
+    assert {b.num_samples for b in data.train} == {16}
+
+
 def test_prepare_zscore_and_heldout(tmp_path, capsys):
     cache = prepare_cache(tmp_path, extra=["--zscore", "--heldout", "0:1"])
     capsys.readouterr()
@@ -299,6 +342,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "--set", "encoder.n=abc"],
         ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
          "--set", "encoder.n"],
+        # a p protocol refuses --set unread; an s protocol reads and checks it
+        *(["prepare", "--protocol", "smnist-3x2", "--source-dir", src, "--set", kv]
+          for kv in ("nope=1", "encoder.n=abc", "encoder.n")),
         ["prepare", "--protocol", "t", "--features", "f.csv"],
         ["prepare", "--protocol", "pmnist-3x2", "--source-dir", src,
          "--heldout", "0-1"],
@@ -324,7 +370,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     not_text = tmp_path / "not_text.json"
     not_text.write_bytes(b"\xff")
     dotted = tmp_path / "dotted.json"
-    dotted.write_text(json.dumps({"fusion.alpha": 0.5}))
+    dotted.write_text(json.dumps({"bogus": 1, "fusion.alpha": 0.5}))
     bogus2 = tmp_path / "bogus2.json"
     bogus2.write_text(json.dumps({"fusion": {"bogus2": 1}}))
     for argv, message in (
@@ -334,8 +380,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
              f"{str(bad_json)!r} is not valid JSON"),
             (["train", "--cache", "none.mvcl", "--config", str(not_text)],
              f"{str(not_text)!r} is not valid JSON"),
+            # a dotted key at the top level is unknown, named with the other unknown keys
             (["train", "--cache", "none.mvcl", "--config", str(dotted)],
-             "unknown config key 'fusion.alpha'"),
+             "error: unknown config keys ['bogus', 'fusion.alpha']\n"),
             # unknown keys of the file and of --set, in one message
             (["train", "--cache", "none.mvcl", "--config", str(bogus2), "--set", "fusion.bogus=1"],
              "error: unknown config keys ['fusion.bogus', 'fusion.bogus2']\n"),
@@ -458,6 +505,60 @@ def test_malformed_checkpoint_or_cache_exits_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def two_class_cache(tmp_path):
+    """A 2-class x 2-view cache of 4 rows per batch, read back as written."""
+    cache = prepare_cache(tmp_path, protocol="pmnist-2x2", extra=["--max-train-per-class", "4"])
+    return read_container(cache)
+
+
+@pytest.mark.parametrize("key, dtype, message", [
+    # string labels once compared unequal to every prediction: avg_acc 0, exit 0
+    ("test/0/labels", "<U3", "labels must be integers, got dtype '<U3'"),
+    # complex inputs were cast to their real part with a warning
+    ("train/0/inputs", np.complex128, "inputs must be real numbers, got dtype '<c16'"),
+    # byte-string inputs escaped as a TypeError
+    ("train/0/inputs", "|S8", "inputs must be real numbers, got dtype '|S8'"),
+], ids=["string-labels", "complex-inputs", "bytes-inputs"])
+def test_cache_array_of_a_foreign_dtype_exits_2(tmp_path, capsys, key, dtype, message):
+    header, arrays = two_class_cache(tmp_path)
+    path = str(tmp_path / "foreign.mvcl")
+    write_container(path, header, {**arrays, key: arrays[key].astype(dtype)})
+    capsys.readouterr()
+    assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
+    entry = key.rsplit("/", 1)[0]
+    assert capsys.readouterr().err == f"error: {path!r}, entry {entry!r}: {message}\n"
+
+
+def test_cache_training_batch_labelled_as_another_class_exits_2(tmp_path, capsys):
+    header, arrays = two_class_cache(tmp_path)
+    assert header["batches"]["train"][0] == [0, 0]
+    path = str(tmp_path / "relabelled.mvcl")
+    write_container(path, header, {**arrays, "train/0/labels": arrays["train/0/labels"] + 1})
+    capsys.readouterr()
+    assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path!r}, entry 'protocol': the training batch of the (class, view) "
+        "pair (0, 0) holds labels other than 0\n")
+
+
+def test_cache_with_a_class_count_too_large_for_a_range_exits_2(tmp_path, capsys):
+    header, arrays = two_class_cache(tmp_path)
+    path = str(tmp_path / "huge.mvcl")
+    write_container(path, {**header, "protocol": {**header["protocol"], "num_classes": 10**20}},
+                    arrays)
+    capsys.readouterr()
+    assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
+    assert (f"{path!r}, entry 'protocol': class_order must be a permutation"
+            in capsys.readouterr().err)
+
+
+def test_a_one_unit_fusion_layer_trains(tmp_path, capsys):
+    cache = prepare_cache(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--cache", cache, *sets("fusion.width=1")]) == EXIT_OK
+    assert METRIC_RE.match(capsys.readouterr().out.strip().splitlines()[-1])
+
+
 def test_eval_with_malformed_report_exits_2(tmp_path, capsys):
     cache = prepare_cache(tmp_path)
     run_dir = str(tmp_path / "run1")
@@ -504,7 +605,9 @@ def test_io_errors_exit_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
     assert main(["prepare", "--protocol", "pmnist-3x2",
                  "--source-dir", str(tmp_path / "nowhere")]) == EXIT_IO
-    capsys.readouterr()
+    missing = os.path.join(str(tmp_path / "nowhere"), "train-images-idx3-ubyte")
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno 2] No such file or directory: {missing!r}\n")
     assert main(["report", str(tmp_path / "norun")]) == EXIT_IO
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tracemalloc
 
@@ -143,6 +144,16 @@ def test_unknown_dtype_names_the_array(tmp_path):
     bad = tmp_path / "bad.mvcl"
     bad.write_bytes(good.read_bytes().replace(b"<f8", b"zzz"))
     with pytest.raises(ContainerError, match="array x has unknown dtype 'zzz'"):
+        read_container(str(bad))
+
+
+def test_a_dtype_string_numpy_cannot_parse_names_the_array(tmp_path):
+    # np.dtype raises SyntaxError on this string, not TypeError
+    good = tmp_path / "good.mvcl"
+    write_container(str(good), {}, {"x": np.zeros(2)})
+    bad = tmp_path / "bad.mvcl"
+    bad.write_bytes(good.read_bytes().replace(b"\x03<f8", b"\x05(08,)"))
+    with pytest.raises(ContainerError, match=re.escape("array x has unknown dtype '(08,)'")):
         read_container(str(bad))
 
 

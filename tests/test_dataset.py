@@ -82,6 +82,23 @@ def test_view_batch_rejects_bad_shapes_and_ids():
         ViewBatch(0, 0, np.array([[1.0, np.nan]]), np.zeros(1, np.int64))
 
 
+def test_view_batch_takes_real_inputs_and_integer_labels():
+    y = np.zeros(2, np.int64)
+    for inputs in (np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.int32),
+                   np.zeros((2, 3), np.float32)):
+        assert ViewBatch(0, 0, inputs, y).inputs is inputs
+    assert ViewBatch(0, 0, np.zeros((2, 3)), np.zeros(2, np.uint8)).labels.dtype == np.uint8
+    # no cast: each of these would be scored as something it is not
+    for dtype in (np.complex128, np.bool_, "<U3", "|S8", object, "f8,i4"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"inputs must be real numbers, got dtype {np.dtype(dtype).str!r}")):
+            ViewBatch(0, 0, np.zeros((2, 3)).astype(dtype), y)
+    for dtype in (np.float64, np.bool_, "<U3", object):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels must be integers, got dtype {np.dtype(dtype).str!r}")):
+            ViewBatch(0, 0, np.zeros((2, 3)), y.astype(dtype))
+
+
 def test_view_batch_properties():
     b = ViewBatch(2, 1, np.zeros((4, 7)), np.full(4, 2, np.int64))
     assert b.num_samples == 4
@@ -95,6 +112,22 @@ def test_protocol_rejects_bad_class_order():
         StreamProtocol("t", 3, 1, (0, 1), 0)
     with pytest.raises(ValueError, match=">= 1 classes"):
         StreamProtocol("t", 0, 1, (), 0)
+    # the order's length is compared first, so no range of 10**20 is built
+    with pytest.raises(ValueError, match="permutation"):
+        StreamProtocol("t", 10**20, 1, (0,), 0)
+
+
+def test_protocol_normalises_its_held_out_map():
+    # any class -> views map, with JSON's string keys too, is stored one way
+    for held in ({1: [0]}, {"1": (0, 0)}, {np.int64(1): frozenset({np.int64(0)})}):
+        protocol = StreamProtocol("t", 2, 2, (0, 1), 0, held)
+        assert protocol.heldout_views == {1: frozenset({0})}
+        assert all(type(c) is int and all(type(v) is int for v in views)
+                   for c, views in protocol.heldout_views.items())
+    for empty in (None, {}):
+        assert StreamProtocol("t", 2, 2, (0, 1), 0, empty).heldout_views is None
+    held = make_protocol("t", 2, 2, seed=0, heldout_views={1: [0]})
+    assert StreamProtocol.from_dict(json.loads(json.dumps(held.to_dict()))) == held
 
 
 def test_protocol_rejects_bad_heldout():
@@ -150,6 +183,18 @@ def test_load_idx_hand_bytes(tmp_path):
     assert np.allclose(X[1], np.arange(6, 12) / 255.0)
     assert y.dtype == np.int64
     assert y.tolist() == [5, 0]
+
+
+def test_load_idx_reads_the_published_magic_bytes(tmp_path):
+    # the magic numbers as the IDX format defines them: unsigned byte data,
+    # then 3 dimensions for images and 1 for labels
+    (tmp_path / "im").write_bytes(bytes([0x00, 0x00, 0x08, 0x03])
+                                  + struct.pack(">III", 2, 2, 3) + bytes(range(12)))
+    (tmp_path / "lb").write_bytes(bytes([0x00, 0x00, 0x08, 0x01]) + struct.pack(">I", 2)
+                                  + bytes([7, 1]))
+    X, y = load_idx(str(tmp_path / "im"), str(tmp_path / "lb"))
+    assert np.array_equal(X * 255.0, np.arange(12.0).reshape(2, 6))
+    assert y.tolist() == [7, 1]
 
 
 def test_load_idx_gzip_matches_plain(tmp_path):
@@ -395,8 +440,9 @@ def test_feature_table_errors(tmp_path):
     assert str(odd) in str(exc.value)
     with pytest.raises(ValueError, match="at least one feature file"):
         load_feature_views([], str(y))
-    with pytest.raises(ValueError, match="train_fraction"):
-        load_feature_views([str(ok)], str(y), train_fraction=1.0)
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ValueError, match="train_fraction"):
+            load_feature_views([str(ok)], str(y), train_fraction=fraction)
 
 
 def test_feature_split_keeps_a_test_sample_per_class(tmp_path):
@@ -490,6 +536,18 @@ def test_a_training_pair_claimed_twice_is_refused():
     data = toy_base(num_classes=2, dim=4)
     mixed = SplitDataset(data.train, data.test + data.test, 2, 1, 4)
     assert [b.num_samples for b in stream_sessions(proto, mixed)] == [5, 5]
+
+
+def test_check_refuses_training_labels_of_another_class():
+    data = toy_base(num_classes=2, dim=4)
+    wrong = ViewBatch(0, 0, data.train[0].inputs, np.array([0, 0, 1, 0, 0]))
+    proto = StreamProtocol("t", 2, 1, (0, 1), 0)
+    with pytest.raises(ValueError, match=re.escape(
+            "the training batch of the (class, view) pair (0, 0) holds labels other than 0")):
+        proto.check(SplitDataset([wrong, data.train[1]], data.test, 2, 1, 4))
+    # a test batch may mix classes (the benchmark's serve batches do)
+    mixed = ViewBatch(0, 0, data.test[0].inputs, np.array([0, 1, 1]))
+    proto.check(SplitDataset(data.train, data.test + [mixed], 2, 1, 4))
 
 
 def test_load_split_refuses_a_repeated_training_pair(tmp_path):

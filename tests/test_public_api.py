@@ -24,6 +24,14 @@ def test_every_exported_name_resolves():
         assert getattr(mvcil, name) is not None, name
 
 
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from mvcil import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == mvcil.__all__
+    assert not any(inspect.ismodule(value) for value in namespace.values())
+
+
 def test_exports_sorted_and_unique():
     assert list(mvcil.__all__) == sorted(set(mvcil.__all__))
 

@@ -296,6 +296,10 @@ CORRUPT_CHECKPOINTS = [
      "entry 'slot_to_class' is malformed"),
     ("repeated-slots", lambda header, w: ({"slot_to_class": [0] * w.shape[1]}, {}),
      "slot_to_class repeats or is < 0"),
+    # a slot id that predict_labels cannot hold as an int64
+    ("oversized-slot",
+     lambda header, w: ({"slot_to_class": [*range(w.shape[1] - 1), 2**63]}, {}),
+     "slot_to_class repeats or is < 0 or >= 2**63"),
     # well-kinded header values out of range
     ("negative-session-index", lambda header, w: ({"session_index": -1}, {}),
      "session_index is < 0"),
@@ -552,8 +556,11 @@ def test_config_round_trip_and_rejects_unknown():
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig.from_dict({"nope": 1})
     # a dotted key belongs to overrides, not to the nested form
-    with pytest.raises(ConfigError, match="unknown config key 'fusion.alpha'"):
+    with pytest.raises(ConfigError, match=re.escape("unknown config keys ['fusion.alpha']")):
         RunConfig.from_dict({"fusion.alpha": 0.5})
+    with pytest.raises(ConfigError,
+                       match=re.escape("unknown config keys ['fusion.alpha', 'nope']")):
+        RunConfig.from_dict({"fusion.alpha": 0.5}, {"nope": 1})
     with pytest.raises(ConfigError, match="must be an object"):
         RunConfig.from_dict({"fusion": 3})
     with pytest.raises(ConfigError, match="must be an object"):
