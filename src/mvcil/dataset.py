@@ -174,8 +174,9 @@ def make_protocol(
 class SplitDataset:
     """Train/test ViewBatch pools plus protocol-shape metadata.
 
-    `input_dim` holds one width per view. An int (uniform widths, as older
-    caches store it) or a list is accepted and stored as that tuple.
+    `input_dim` holds one width per view; a list is stored as that tuple.
+    An int stands for one width in every view, for in-memory builders only:
+    a cache stores the list.
     """
 
     train: list[ViewBatch]
@@ -373,9 +374,7 @@ def load_feature_views(
     for c in range(uniq.size):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
-        n_train = max(1, int(round(train_fraction * idx.size)))
-        if n_train >= idx.size:
-            n_train = idx.size - 1
+        n_train = min(max(1, round(train_fraction * idx.size)), idx.size - 1)
         if n_train < 1:
             raise ValueError(f"class {c} has too few samples ({idx.size}) to split")
         train_rows.append(idx[:n_train])
@@ -457,7 +456,7 @@ def load_split(path: str) -> tuple[SplitDataset, StreamProtocol, dict]:
     if header.get("kind") != "split_dataset":
         raise container.ContainerError(f"{path!r} is not a dataset cache")
     kinds = {"batches.train": list[tuple[int, int]], "batches.test": list[tuple[int, int]],
-             "num_classes": int, "views_per_class": int, "input_dim": (int, list[int]),
+             "num_classes": int, "views_per_class": int, "input_dim": list[int],
              "protocol.name": str, "protocol.num_classes": int, "protocol.seed": int,
              "protocol.views_per_class": int, "protocol.class_order": list[int],
              "protocol.heldout_views": (type(None), dict[str, list[int]])}

@@ -136,8 +136,6 @@ def parse_report(path: str) -> AccuracyMatrix:
         raise ValueError(f"{path!r}: unexpected columns {columns}")
     cells = []
     for line, row in enumerate(rows[2:], start=3):
-        if not row:
-            continue
         try:
             after, c, acc, n = row
             after, c, acc, n = int(after), int(c), float(acc), int(n)

@@ -17,6 +17,7 @@ from mvcil.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     build_config,
+    build_parser,
     main,
     parse_overrides,
 )
@@ -256,6 +257,61 @@ def test_prepare_features_split_defaults_to_a_train_fraction_of_0_8(tmp_path, ca
     assert digests[0] == digests[1]
     data, _, _ = load_split(str(tmp_path / "cache" / "default.mvcl"))
     assert {b.num_samples for b in data.train} == {16}
+
+
+def prepare_source(tmp_path, source):
+    """The flags, each with its values, of a `prepare` from IDX files (`p`
+    or `s`) or from tables."""
+    if source == "features":
+        views, labels = three_class_two_view_tables(tmp_path)
+        return {"--protocol": ["feat"], "--features": views, "--labels-file": [labels]}
+    idx = {"--protocol": [f"{source}mnist-3x2"], "--source-dir": [make_idx_dir(tmp_path)]}
+    return {**idx, "--set": ["encoder.max_iter=2"]} if source == "s" else idx
+
+
+def prepare_flag_value(tmp_path, source, flag):
+    """Values, unlike the default and unlike `prepare_source`'s, for each
+    `prepare` flag; a flag missing here fails the liveness test below."""
+    other = tmp_path / "other"
+    other.mkdir(exist_ok=True)
+    if flag == "--features":
+        return three_class_two_view_tables(other)[0][::-1]
+    if flag == "--labels-file":
+        labels = other / "y.txt"
+        labels.write_text("\n".join(str(i % 3) for i in range(1, 61)) + "\n")
+        return [str(labels)]
+    if flag == "--config":
+        config = other / "cfg.json"
+        config.write_text('{"encoder": {"L": 4}}')
+        return [str(config)]
+    return {"--protocol": ["feat2" if source == "features" else f"{source}mnist-2x2"],
+            "--source-dir": [make_idx_dir(other, seed=1)],
+            "--train-fraction": ["0.5"], "--seed": ["1"], "--max-train-per-class": ["2"],
+            "--max-test-per-class": ["2"], "--zscore": [], "--heldout": ["0:1"],
+            "--set": ["encoder.n=3"], "--out": ["elsewhere.mvcl"]}[flag]
+
+
+PREPARE_FLAGS = [a.option_strings[-1] for a in build_parser()._subparsers._group_actions[0]
+                 .choices["prepare"]._actions if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("flag", PREPARE_FLAGS)
+@pytest.mark.parametrize("source", ["p", "s", "features"])
+def test_every_prepare_flag_changes_the_cache_or_is_refused(tmp_path, capsys, source, flag):
+    # each flag a source is given either moves the cache (its bytes or its
+    # path) or exits 2 naming the flag; none is silently ignored
+    def prepare(flags):
+        rc = main(["prepare", *(arg for f, values in flags.items() for arg in (f, *values))])
+        return rc, *capsys.readouterr()
+
+    base = prepare_source(tmp_path, source)
+    rc, before, _ = prepare(base)
+    assert rc == EXIT_OK
+    rc, out, err = prepare({**base, flag: prepare_flag_value(tmp_path, source, flag)})
+    if rc == EXIT_CONFIG:
+        assert flag in err and "cannot be used" in err
+    else:
+        assert rc == EXIT_OK and out != before
 
 
 def test_prepare_zscore_and_heldout(tmp_path, capsys):
@@ -550,6 +606,17 @@ def test_cache_with_a_class_count_too_large_for_a_range_exits_2(tmp_path, capsys
     assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
     assert (f"{path!r}, entry 'protocol': class_order must be a permutation"
             in capsys.readouterr().err)
+
+
+def test_cache_with_an_int_input_dim_and_a_huge_view_count_exits_2(tmp_path, capsys):
+    # an int input_dim once expanded to one width per view, and raised
+    # OverflowError for a view count beyond an index
+    header, arrays = two_class_cache(tmp_path)
+    path = str(tmp_path / "huge.mvcl")
+    write_container(path, {**header, "views_per_class": 10**20, "input_dim": 3}, arrays)
+    capsys.readouterr()
+    assert main(["train", "--cache", path, *sets()]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path!r}: entry 'input_dim' is malformed: 3\n"
 
 
 def test_a_one_unit_fusion_layer_trains(tmp_path, capsys):

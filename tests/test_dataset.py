@@ -106,7 +106,7 @@ def test_view_batch_properties():
 
 
 def test_protocol_rejects_bad_class_order():
-    with pytest.raises(ValueError, match="permutation"):
+    with pytest.raises(ValueError, match=r"permutation of 0\.\.2$"):
         StreamProtocol("t", 3, 1, (0, 1, 1), 0)
     with pytest.raises(ValueError, match="permutation"):
         StreamProtocol("t", 3, 1, (0, 1), 0)
@@ -427,6 +427,11 @@ def test_feature_table_errors(tmp_path):
     short_y.write_text("0\n1\n0\n")
     with pytest.raises(FeatureTableError, match="2 rows but labels file has 3"):
         load_feature_views([str(ok)], str(short_y))
+    # three columns, so the count named is the table's rows, not its columns
+    wide = tmp_path / "wide3.txt"
+    wide.write_text("1 2 3\n4 5 6\n")
+    with pytest.raises(FeatureTableError, match="has 2 rows but labels file has 3"):
+        load_feature_views([str(wide)], str(short_y))
     for word in ("nan", "inf"):
         odd_y = tmp_path / f"{word}.txt"
         odd_y.write_text(f"0\n{word}\n")
@@ -615,8 +620,9 @@ def test_save_load_keeps_per_view_dims(tmp_path):
     assert loaded.input_dim == (3, 4)
 
 
-def test_load_split_reads_int_input_dim_header(tmp_path):
-    # older caches store input_dim as one int and carry a "counts" entry
+def test_load_split_refuses_int_input_dim_header(tmp_path):
+    # caches written before the per-view list stored input_dim as one int and
+    # carried a "counts" entry; `mvcil prepare` rebuilds them
     data = make_permuted_views(toy_base(num_classes=2, dim=5), 3, seed=1)
     path = str(tmp_path / "old.mvcl")
     save_split(path, data, make_protocol("old", 2, 3, seed=1))
@@ -624,11 +630,9 @@ def test_load_split_reads_int_input_dim_header(tmp_path):
     assert header["input_dim"] == [5, 5, 5]
     header.update(input_dim=5, counts={"train": 6, "test": 6})
     container.write_container(path, header, arrays)
-    loaded, _, _ = load_split(path)
-    assert loaded.input_dim == (5, 5, 5)
-    for a, b in zip(loaded.train + loaded.test, data.train + data.test):
-        assert (a.class_id, a.view_id) == (b.class_id, b.view_id)
-        assert np.array_equal(a.inputs, b.inputs)
+    with pytest.raises(container.ContainerError,
+                       match=rf"^{re.escape(repr(path))}: entry 'input_dim' is malformed: 5$"):
+        load_split(path)
 
 
 def test_load_split_rejects_other_containers(tmp_path):

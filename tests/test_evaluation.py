@@ -196,8 +196,9 @@ def test_parse_report_errors(tmp_path):
     header_only.write_text("# schema_version=1\r\n")
     with pytest.raises(ValueError, match="unexpected columns"):
         parse_report(str(header_only))
-    # short and long rows, and a negative class that would index the last column
+    # short, long and blank rows, and a negative class that would index the last column
     for name, row, why in (("short", "2,1", "bad row"), ("long", "1,0,0.5,3,9", "bad row"),
+                           ("blank", "", "bad row"),
                            ("negative", "1,-1,0.5,3", "below the diagonal")):
         path = tmp_path / f"{name}.csv"
         path.write_text(f"# schema_version=1\r\nafter_class,class,accuracy,n_samples\r\n"

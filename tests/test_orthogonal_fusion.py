@@ -138,8 +138,9 @@ def test_projector_validation(rng):
     with pytest.raises(ValueError):
         Projector(3, 0.0)
     proj = Projector(3, 1.0)
-    with pytest.raises(ValueError):
-        proj.absorb(np.ones(4))
+    for wrong in (np.ones(4), np.ones((2, 4)), np.ones((1, 1, 3))):
+        with pytest.raises(ValueError, match="expected features of dim 3"):
+            proj.absorb(wrong)
     with pytest.raises(ValueError):
         proj.absorb(np.array([np.nan, 0.0, 0.0]))
 
