@@ -1,8 +1,8 @@
 """Command-line interface: prepare datasets, train, evaluate, report.
 
-Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
-4 numerical failure. `train` prints a parse-stable metric line
-`avg_acc=<float> bwt=<float|null>` on success.
+Exit codes: 0 success, 2 configuration or parse error (sizes past the
+machine's memory included), 3 I/O error, 4 numerical failure. `train` prints a
+parse-stable metric line `avg_acc=<float> bwt=<float|null>` on success.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: sizes past the machine's memory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,15 +16,15 @@ class ConfigError(ValueError):
 
 
 # bound name -> (test of value against the bound, words for the error)
-_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "le": (operator.le, "<="),
            "choices": (lambda value, choices: value in choices, "one of")}
 # the types a default's type admits, NumPy scalars included
 _ADMITS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real}
 
 
 def setting(default, **bound):
-    """A config field whose type is its default's type, with at most one
-    bound: gt=b (value > b), ge=b (value >= b) or choices=(...)."""
+    """A config field whose type is its default's type, with bounds among
+    gt=b (value > b), ge=b (value >= b), le=b (value <= b) and choices=(...)."""
     return dataclasses.field(default=default, metadata={"bound": bound})
 
 

@@ -155,13 +155,12 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
     grad_w = H.T @ delta
     grad_hidden = delta @ head.weights.T
 
-    loss = ce
+    # before the first class boundary the anchor has no columns, and this adds 0
     c_anchor = head.anchor.shape[1]
-    if c_anchor > 0:
-        drift = head.weights[:, :c_anchor] - head.anchor
-        fsum = head.fisher_sum[:, :c_anchor]
-        loss = ce + 0.5 * head.mu * float(np.sum(fsum * drift * drift))
-        grad_w[:, :c_anchor] += head.mu * fsum * drift
+    drift = head.weights[:, :c_anchor] - head.anchor
+    fsum = head.fisher_sum[:, :c_anchor]
+    loss = ce + 0.5 * head.mu * float(np.sum(fsum * drift * drift))
+    grad_w[:, :c_anchor] += head.mu * fsum * drift
     return HeadGradients(loss=loss, grad_w=grad_w, grad_hidden=grad_hidden)
 
 

@@ -374,7 +374,7 @@ def load_feature_views(
     for c in range(uniq.size):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
-        n_train = min(max(1, round(train_fraction * idx.size)), idx.size - 1)
+        n_train = min(max(1, int(round(train_fraction * idx.size))), idx.size - 1)
         if n_train < 1:
             raise ValueError(f"class {c} has too few samples ({idx.size}) to split")
         train_rows.append(idx[:n_train])

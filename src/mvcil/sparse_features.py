@@ -65,6 +65,8 @@ def fista_fit(Z: np.ndarray, X: np.ndarray, lam: float, K: int) -> np.ndarray:
     if not np.all(np.isfinite(G)):
         raise FloatingPointError("FISTA Gram matrix is not finite")
     xi = 2.0 * np.linalg.eigvalsh(G)[..., -1]
+    if not np.all(np.isfinite(xi)):  # else a step of 2 / inf = 0 leaves theta' at zero
+        raise FloatingPointError("FISTA Lipschitz constant is not finite")
     dead = xi <= 0.0
     if np.any(dead):
         warnings.warn(f"all-zero code matrix in {int(np.sum(dead))} of {dead.size} "
@@ -110,7 +112,7 @@ class ExtractionConfig:
 
     n: int = setting(30, ge=1)
     L: int = setting(20, ge=1)
-    max_iter: int = setting(50, ge=1)
+    max_iter: int = setting(50, ge=1, le=10_000)  # FISTA runs all of them: bounds eval time
     lam: float = setting(1e-3, ge=0)
 
     def __post_init__(self) -> None:

@@ -38,6 +38,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "mvcil")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+# seconds a tier-1 run may take before its mutant counts as killed: tier-1
+# takes about 25 s, so only a mutant that loops reaches it
+TIMEOUT = 600
 
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
         ast.FloorDiv: ast.Div, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.MatMult: ast.Mult,
@@ -109,13 +112,13 @@ def mutate(module: str, site: dict | None) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
-def run_tier1(copy: str, timeout: float) -> str:
+def run_tier1(copy: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"),
            "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
     try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return "killed"  # a mutant that loops is caught by any time limit
+        return "killed"
     return "survived" if done.returncode == 0 else "killed"
 
 
@@ -125,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--list", action="store_true", help="count the sites; run nothing")
     parser.add_argument("--out", help="JSON file for the results (default: stdout)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per tier-1 run")
     args = parser.parse_args(argv)
 
     modules = sorted(os.path.join(PACKAGE, name) for name in os.listdir(os.path.join(ROOT, PACKAGE))
@@ -141,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             for module in modules:  # the control: every module unparsed, none mutated
                 with open(os.path.join(copy, module), "w") as f:
                     f.write(mutate(module, None))
-            if run_tier1(copy, args.timeout) != "survived":
+            if run_tier1(copy) != "survived":
                 print("the control run of the unmutated modules fails", file=sys.stderr)
                 return 1
             report["mutants"] = []
@@ -149,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 target = os.path.join(copy, site["module"])
                 with open(target, "w") as f:
                     f.write(mutate(site["module"], site))
-                verdict = run_tier1(copy, args.timeout)
+                verdict = run_tier1(copy)
                 with open(target, "w") as f:
                     f.write(mutate(site["module"], None))
                 report["mutants"].append({**site, "verdict": verdict})

@@ -619,6 +619,26 @@ def test_cache_with_an_int_input_dim_and_a_huge_view_count_exits_2(tmp_path, cap
     assert capsys.readouterr().err == f"error: {path!r}: entry 'input_dim' is malformed: 3\n"
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    # FISTA runs every iteration asked for, so a count past the bound is refused
+    ("encoder", "max_iter", 10_001, "entry 'config': encoder.max_iter must be <= 10000, got 10001"),
+    # the head projector is width x width: 7.28 TiB
+    ("fusion", "width", 10**6, "error: Unable to allocate 7.28 TiB"),
+])
+def test_eval_of_a_checkpoint_past_its_bounds_exits_2(tmp_path, capsys, section, key, value,
+                                                      message):
+    cache = prepare_cache(tmp_path)
+    run_dir = str(tmp_path / "run1")
+    main(["train", "--cache", cache, "--out", run_dir, *sets()])
+    header, arrays = read_container(os.path.join(run_dir, "checkpoint.mvcl"))
+    config = {**header["config"], section: {**header["config"][section], key: value}}
+    path = str(tmp_path / "big.mvcl")
+    write_container(path, {**header, "config": config}, arrays)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", path, "--cache", cache]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_a_one_unit_fusion_layer_trains(tmp_path, capsys):
     cache = prepare_cache(tmp_path)
     capsys.readouterr()

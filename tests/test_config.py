@@ -65,6 +65,13 @@ def test_ge_bound(prefix, klass, f):
     assert getattr(klass(**{f.name: typ(bound)}), f.name) == bound
 
 
+@pytest.mark.parametrize("prefix, klass, f", bounded("le"))
+def test_le_bound(prefix, klass, f):
+    bound = f.metadata["bound"]["le"]
+    rejects(prefix, klass, f, bound + 1)
+    assert getattr(klass(**{f.name: bound}), f.name) == bound
+
+
 def test_mode_is_one_of_the_modes():
     with pytest.raises(ConfigError, match="mode must be one of"):
         RunConfig(mode="net3")

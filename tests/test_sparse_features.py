@@ -127,6 +127,10 @@ def test_fista_overflow_raises_floating_point_error(rng):
         # finite Gram matrix, but Z^T X and the iterates overflow
         with pytest.raises(FloatingPointError):
             fista_fit(rng.standard_normal((5, 3)), np.full((5, 2), 1e308), lam=0.1, K=5)
+        # finite Gram matrix, but twice its largest eigenvalue is not: the
+        # step 2 / inf = 0 would leave the decoder at zero and the run go on
+        with pytest.raises(FloatingPointError, match="Lipschitz"):
+            fista_fit(np.array([[1e154, 0.0], [0.0, 1.0]]), np.ones((2, 1)), lam=0.1, K=5)
 
 
 def test_fista_validates_shapes(rng):
