@@ -95,13 +95,12 @@ def parse_heldout(spec: str | None) -> dict[int, list[int]] | None:
         return None
     held: dict[int, list[int]] = {}
     for item in spec.split(","):
-        if ":" not in item:
-            raise ConfigError(f"held-out entry {item!r} is not class:view")
+        # without a colon the view part is empty, and int("") refuses it too
         cls, _, view = item.partition(":")
         try:
             held.setdefault(int(cls), []).append(int(view))
         except ValueError as exc:
-            raise ConfigError(f"held-out entry {item!r} is not numeric") from exc
+            raise ConfigError(f"held-out entry {item!r} is not class:view") from exc
     return held
 
 
@@ -180,6 +179,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval needs --run or --checkpoint")
     checkpoint = args.checkpoint or os.path.join(args.run, "checkpoint.mvcl")
     model = Model.load_checkpoint(checkpoint)
+    if not model.slot_to_class:  # a run saved before its first session
+        raise ConfigError(f"{checkpoint!r} has seen no class, so there is nothing to evaluate")
     data, _, _ = dataset.load_split(cache_path(args.cache))
     row = evaluation.evaluate_classes(model, data.test, model.slot_to_class)
     avg = float(np.mean(row))

@@ -2,11 +2,11 @@
 
 The head owns the class in progress: `expand_head` opens its column,
 `DecisionHead.imprint` seeds it and `DecisionHead.pool` averages its
-per-session Fisher estimates into `pending`. At the class boundary
-`end_of_class` anchors the current weights and adds `pending` to a single
-running sum, so the quadratic penalty (mu/2) * sum fisher_sum * (W - anchor)^2
-needs O(h * C) memory no matter how many classes have passed. The head is
-weights only: logits are H @ W.
+per-session Fisher estimates into `pending`. The next `expand_head` closes
+the class by `end_of_class`, which anchors the current weights and adds
+`pending` to a single running sum, so the quadratic penalty
+(mu/2) * sum fisher_sum * (W - anchor)^2 needs O(h * C) memory no matter how
+many classes have passed. The head is weights only: logits are H @ W.
 """
 
 from __future__ import annotations
@@ -102,13 +102,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def expand_head(head: DecisionHead) -> None:
     """Add one zero-initialized output column for the next class slot.
 
-    Old columns, the anchor, and old fisher_sum entries are untouched, so
-    logits of previously seen classes are unchanged afterwards. Refused while
-    a Fisher estimate is pending: it covers only the columns already there.
+    The class in progress is closed first (`end_of_class`), since its
+    pending Fisher covers only the columns already there. Old columns are
+    untouched, so logits of previously seen classes are unchanged afterwards.
     """
-    if head.pending is not None:
-        raise ValueError(f"a Fisher estimate over {head.pending.sample_count} samples is "
-                         "pending; call end_of_class before expand_head")
+    end_of_class(head)
     h = head.hidden_dim
     head.weights = np.hstack([head.weights, np.zeros((h, 1))])
     head.fisher_sum = np.hstack([head.fisher_sum, np.zeros((h, 1))])
@@ -165,9 +163,9 @@ def swc_loss_and_grad(head: DecisionHead, H: np.ndarray, labels: np.ndarray) -> 
 
 
 def end_of_class(head: DecisionHead) -> None:
-    """Fold the pending Fisher into the running sum and re-center the anchor."""
+    """Fold the pending Fisher into the running sum and re-center the anchor, if one is pending."""
     if head.pending is None:
-        raise ValueError("end_of_class needs a pending Fisher estimate; pool one first")
+        return
     head.fisher_sum = head.fisher_sum + head.pending.diag
     head.pending = None
     head.anchor = head.weights.copy()

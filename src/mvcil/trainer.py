@@ -232,7 +232,6 @@ class Model:
             )
         feats = self.extract(batch)
         if new_class:
-            self._finish_class()
             expand_head(self.head)
             self.slot_to_class.append(cid)
             self.head.imprint(self.fusion.forward(feats).mean(axis=0))
@@ -302,12 +301,8 @@ class Model:
                 acc[idx] += grads.grad_hidden * (1.0 - h * h)
             self.fusion.orthogonal_step(z_p.T @ acc, acc.sum(axis=0))
 
-    def _finish_class(self) -> None:
-        if self.head.pending is not None:
-            end_of_class(self.head)
-
     def finish_stream(self) -> None:
-        self._finish_class()
+        end_of_class(self.head)
 
     # ---- accounting / serialization -----------------------------------
 

@@ -13,8 +13,6 @@ import pytest
 from mvcil import __version__
 from mvcil.cli import (
     EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_NUMERIC,
     EXIT_OK,
     build_config,
     build_parser,
@@ -30,7 +28,7 @@ from mvcil.dataset import (
     load_split,
     save_split,
 )
-from mvcil.trainer import ConfigError
+from mvcil.trainer import ConfigError, Model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 METRIC_RE = re.compile(r"^avg_acc=[01]\.\d{6} bwt=(-?\d+\.\d{6}|null)$")
@@ -89,7 +87,7 @@ def prepare_cache(tmp_path, protocol="pmnist-3x2", extra=()):
     out = str(tmp_path / "cache" / f"{protocol}.mvcl")
     rc = main(["prepare", "--protocol", protocol, "--source-dir", src,
                "--seed", "0", "--out", out, *extra])
-    assert rc == EXIT_OK
+    assert rc == 0  # the exit codes are compared as the numbers the CLI documents
     return out
 
 
@@ -378,7 +376,7 @@ def test_working_directory_never_shadows_a_bare_cache_name(tmp_path, capsys, mon
 
 
 def test_missing_bare_cache_name_exits_3_naming_its_path(tmp_path, capsys):
-    assert main(["train", "--cache", "absent.mvcl"]) == EXIT_IO
+    assert main(["train", "--cache", "absent.mvcl"]) == 3
     assert repr(str(tmp_path / "cache" / "absent.mvcl")) in capsys.readouterr().err
 
 
@@ -415,10 +413,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["train", "--cache", "none.mvcl", "--set", "fusion.activation=relu"],
     ]
     for argv in cases:
-        assert main(argv) == EXIT_CONFIG, argv
+        assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
     # a config file that holds a JSON list, one that is not JSON, one that
-    # writes a dotted key at its top level, and a held-out pair that is not numeric
+    # writes a dotted key at its top level, and held-out entries that are not class:view
     as_list = tmp_path / "list.json"
     as_list.write_text(json.dumps([{"seed": 1}]))
     bad_json = tmp_path / "bad.json"
@@ -442,8 +440,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
             # unknown keys of the file and of --set, in one message
             (["train", "--cache", "none.mvcl", "--config", str(bogus2), "--set", "fusion.bogus=1"],
              "error: unknown config keys ['fusion.bogus', 'fusion.bogus2']\n"),
-            (["prepare", "--protocol", "pmnist-3x2", "--source-dir", src, "--heldout", "a:1"],
-             "held-out entry 'a:1' is not numeric")):
+            # one refusal for every malformed entry, a missing colon included
+            *((["prepare", "--protocol", "pmnist-3x2", "--source-dir", src, "--heldout", spec],
+               f"error: held-out entry {item!r} is not class:view\n")
+              for spec, item in (("a:1", "a:1"), ("1:2:3", "1:2:3"), ("0-1", "0-1"),
+                                 ("0:1,2", "2"), ("0:", "0:")))):
         assert main(argv) == EXIT_CONFIG, argv
         assert message in capsys.readouterr().err
     # an override into a config section that is not an object
@@ -687,15 +688,26 @@ def test_eval_without_run_or_checkpoint_exits_2(tmp_path, capsys):
     assert "--run or --checkpoint" in capsys.readouterr().err
 
 
+def test_eval_of_a_checkpoint_that_has_seen_no_class_exits_2(tmp_path, capsys):
+    # a model saved before its first session scores no class: no nan metric line
+    cache = prepare_cache(tmp_path)
+    path = str(tmp_path / "fresh.mvcl")
+    Model(build_config(None, TINY)).save_checkpoint(path)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", path, "--cache", cache]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path!r} has seen no class, so there is nothing to evaluate\n")
+
+
 def test_io_errors_exit_3(tmp_path, capsys):
-    assert main(["train", "--cache", str(tmp_path / "missing.mvcl")]) == EXIT_IO
+    assert main(["train", "--cache", str(tmp_path / "missing.mvcl")]) == 3
     assert "i/o error" in capsys.readouterr().err
     assert main(["prepare", "--protocol", "pmnist-3x2",
-                 "--source-dir", str(tmp_path / "nowhere")]) == EXIT_IO
+                 "--source-dir", str(tmp_path / "nowhere")]) == 3
     missing = os.path.join(str(tmp_path / "nowhere"), "train-images-idx3-ubyte")
     assert capsys.readouterr().err == (
         f"i/o error: [Errno 2] No such file or directory: {missing!r}\n")
-    assert main(["report", str(tmp_path / "norun")]) == EXIT_IO
+    assert main(["report", str(tmp_path / "norun")]) == 3
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):
@@ -706,7 +718,7 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     # overflows once a consolidated class is being protected
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--cache", cache, *sets("consolidation.mu=1e300")])
-    assert rc == EXIT_NUMERIC
+    assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -857,5 +869,5 @@ def test_module_entry_point_prints_the_version(tmp_path):
 
 def test_module_entry_point_exits_with_the_cli_code(tmp_path):
     done = run_module("train", "--cache", str(tmp_path / "missing.mvcl"), cwd=tmp_path)
-    assert done.returncode == EXIT_IO
+    assert done.returncode == 3
     assert done.stderr.startswith("i/o error: ") and "missing.mvcl" in done.stderr

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,17 +171,19 @@ def test_expand_head_contract():
     assert head.fisher_sum.shape == (4, 2)
 
 
-def test_expand_head_refuses_while_a_fisher_estimate_is_pending(rng):
+def test_expand_head_folds_a_pending_fisher_estimate(rng):
+    # a new column closes the class in progress: its estimate joins the
+    # running sum over the columns it covers, and the anchor moves to the
+    # weights that class ended with
     head = make_head(3, 2, mu=1.0, seed=4)
-    head.pool(fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 2, 5)))
-    before = head.weights.copy(), head.fisher_sum.copy(), head.pending
-    with pytest.raises(ValueError, match="over 5 samples is pending; call end_of_class"):
-        expand_head(head)
-    assert np.array_equal(head.weights, before[0])
-    assert np.array_equal(head.fisher_sum, before[1])
-    assert head.pending is before[2]
-    end_of_class(head)
+    est = fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 2, 5))
+    head.pool(est)
+    weights = head.weights.copy()
     expand_head(head)
+    assert head.pending is None
+    assert np.array_equal(head.fisher_sum, np.hstack([est.diag, np.zeros((3, 1))]))
+    assert np.array_equal(head.anchor, weights)
+    assert np.array_equal(head.weights, np.hstack([weights, np.zeros((3, 1))]))
     head.pool(fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 3, 5)))
     assert head.pending.diag.shape == (3, 3)
 
@@ -204,8 +208,12 @@ def test_end_of_class_accumulates_and_recenters(rng):
     assert np.array_equal(head.anchor, head.weights)
     assert np.allclose(head.fisher_sum, est1.diag)
     assert head.pending is None
-    with pytest.raises(ValueError):
-        end_of_class(head)  # nothing pooled since
+    # nothing pooled since: the head is left as it is, anchor included
+    head.weights[:, 0] += 0.5
+    before = [a.copy() for a in (head.weights, head.anchor, head.fisher_sum)]
+    end_of_class(head)
+    for now, then in zip((head.weights, head.anchor, head.fisher_sum), before):
+        assert np.array_equal(now, then)
     expand_head(head)
     head.weights[:, 2] = 0.7
     est2 = fisher_diag(head, rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
@@ -232,5 +240,7 @@ def test_head_validation():
     with pytest.raises(ValueError):
         head.logits(np.zeros((2, 3)))  # no classes yet
     expand_head(head)
-    with pytest.raises(ValueError):
-        head.logits(np.zeros((2, 4)))  # wrong width
+    for shape in ((2, 4), (3,)):  # a wrong width, a single vector
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected hidden width 3, got shape {shape}")):
+            head.logits(np.zeros(shape))

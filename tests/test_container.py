@@ -22,6 +22,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     }
     path = str(tmp_path / "box.mvcl")
     write_container(path, header, arrays)
+    with open(path, "rb") as f:  # the docstring's layout: b"MVCL", then a u16 version of 1
+        assert f.read(6) == b"MVCL\x01\x00"
     back_header, back = read_container(path)
     assert back_header == header
     assert set(back) == set(arrays)
@@ -93,9 +95,24 @@ def test_trailing_bytes_rejected(tmp_path):
     good = tmp_path / "good.mvcl"
     write_container(str(good), {}, {"x": np.arange(3, dtype=np.float64)})
     padded = tmp_path / "padded.mvcl"
-    padded.write_bytes(good.read_bytes() + b"\x00")
-    with pytest.raises(ContainerError, match="trailing bytes"):
-        read_container(str(padded))
+    for extra in (1, 3):
+        padded.write_bytes(good.read_bytes() + bytes(extra))
+        with pytest.raises(ContainerError, match=f"^{extra} trailing bytes after last array$"):
+            read_container(str(padded))
+
+
+def test_a_short_array_read_is_truncation(tmp_path, monkeypatch):
+    # the file shrinks after its size was read: the size check passes, and
+    # the array data read comes back short
+    path = tmp_path / "box.mvcl"
+    write_container(str(path), {}, {"x": np.arange(3, dtype=np.float64)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        (*real(fd)[:6], size, *real(fd)[7:])))
+    with pytest.raises(ContainerError, match="^truncated container: reading array x data$"):
+        read_container(str(path))
 
 
 def test_returned_arrays_are_writable_copies(tmp_path):

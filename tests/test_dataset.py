@@ -72,11 +72,14 @@ def test_view_batch_rejects_bad_shapes_and_ids():
     y = np.zeros(2, np.int64)
     with pytest.raises(ValueError, match=">= 0"):
         ViewBatch(-1, 0, X, y)
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match="^class_id and view_id must be >= 0, got 0, -1$"):
         ViewBatch(0, -1, X, y)
-    with pytest.raises(ValueError, match="N >= 1 x dim"):
+    with pytest.raises(ValueError,
+                       match=re.escape("inputs must be [N >= 1 x dim], got shape (3,)")):
         ViewBatch(0, 0, np.zeros(3), np.zeros(3, np.int64))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=re.escape("got shape (0, 3)")):
+        ViewBatch(0, 0, np.zeros((0, 3)), np.zeros(0, np.int64))
+    with pytest.raises(ValueError, match=re.escape("labels shape (3,) does not match 2 samples")):
         ViewBatch(0, 0, X, np.zeros(3, np.int64))
     with pytest.raises(ValueError, match="non-finite"):
         ViewBatch(0, 0, np.array([[1.0, np.nan]]), np.zeros(1, np.int64))
@@ -213,9 +216,11 @@ def test_load_idx_gzip_matches_plain(tmp_path):
 def test_idx_error_wrong_magic(tmp_path):
     write_idx_labels(tmp_path / "lb", [1, 2])
     write_idx_images(tmp_path / "im", np.zeros((1, 2, 2), np.uint8))
-    with pytest.raises(IdxFormatError, match="magic"):
+    with pytest.raises(IdxFormatError, match=re.escape(
+            f"images file {str(tmp_path / 'lb')!r}: magic 0x00000801, expected 0x00000803")):
         load_idx(str(tmp_path / "lb"), str(tmp_path / "lb"))
-    with pytest.raises(IdxFormatError, match="magic"):
+    with pytest.raises(IdxFormatError, match=re.escape(
+            f"labels file {str(tmp_path / 'im')!r}: magic 0x00000803, expected 0x00000801")):
         load_idx(str(tmp_path / "im"), str(tmp_path / "im"))
 
 
@@ -230,7 +235,8 @@ def test_idx_error_truncations(tmp_path):
     payload = struct.pack(">IIII", IDX_IMAGES_MAGIC, 3, 2, 2) + bytes(4)
     (tmp_path / "cut").write_bytes(payload)
     write_idx_labels(tmp_path / "lb", [0, 0, 0])
-    with pytest.raises(IdxFormatError, match="says 3 items"):
+    with pytest.raises(IdxFormatError, match=re.escape(
+            "count field says 3 items but data is truncated (4 of 12 bytes)")):
         load_idx(str(tmp_path / "cut"), str(tmp_path / "lb"))
 
 
@@ -248,14 +254,15 @@ def test_idx_error_trailing_bytes(tmp_path):
     payload = struct.pack(">II", IDX_LABELS_MAGIC, 2) + bytes([1, 2, 9])
     (tmp_path / "long").write_bytes(payload)
     write_idx_images(tmp_path / "im", np.zeros((2, 1, 1), np.uint8))
-    with pytest.raises(IdxFormatError, match="trailing bytes"):
+    with pytest.raises(IdxFormatError, match="count field says 2 items but the file has trailing "
+                                             "bytes$"):
         load_idx(str(tmp_path / "im"), str(tmp_path / "long"))
 
 
 def test_idx_error_count_mismatch(tmp_path):
     write_idx_images(tmp_path / "im", np.zeros((2, 2, 2), np.uint8))
     write_idx_labels(tmp_path / "lb", [0, 1, 0])
-    with pytest.raises(IdxFormatError, match="count mismatch"):
+    with pytest.raises(IdxFormatError, match="^count mismatch: 2 images vs 3 labels$"):
         load_idx(str(tmp_path / "im"), str(tmp_path / "lb"))
 
 
@@ -289,6 +296,11 @@ def test_split_by_class_missing_class():
     y = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="class 2 has no samples"):
         split_by_class(X, y, X, y, 3)
+    # one empty split is enough: class 1 has training samples but no test sample
+    with pytest.raises(ValueError, match="^class 1 has no samples in one of the splits$"):
+        split_by_class(X, y, X, np.zeros(4, np.int64), 2)
+    with pytest.raises(ValueError, match="^class 1 has no samples in one of the splits$"):
+        split_by_class(X, np.zeros(4, np.int64), X, y, 2)
     with pytest.raises(ValueError, match=">= 1 classes"):
         split_by_class(X, y, X, y, 0)
 
@@ -327,8 +339,9 @@ def test_permuted_views_validation():
     base = toy_base(num_classes=1)
     with pytest.raises(ValueError, match=">= 1"):
         make_permuted_views(base, 0, seed=0)
-    with pytest.raises(ValueError, match="exceeds cap"):
+    with pytest.raises(ValueError, match="^num_views 65 exceeds cap 64$"):
         make_permuted_views(base, 65, seed=0)
+    assert make_permuted_views(base, 64, seed=0).views_per_class == 64
     multi = make_permuted_views(base, 2, seed=0)
     with pytest.raises(ValueError, match="single-view base"):
         make_permuted_views(multi, 2, seed=0)
@@ -355,6 +368,25 @@ def test_synthesized_views_shapes_and_determinism():
         make_synthesized_views(data, 2, cfg, seed=0)
     with pytest.raises(ValueError, match=">= 1"):
         make_synthesized_views(base, 0, cfg, seed=0)
+
+
+def test_synthesized_views_are_pinned_by_their_seed():
+    # each view's encoder seed tag decides every input of an s-protocol cache
+    base = toy_base(num_classes=1, dim=10, n_train=6, n_test=3)
+    data = make_synthesized_views(base, 2, ExtractionConfig(n=2, L=3, max_iter=5), seed=11)
+    np.testing.assert_allclose([b.inputs.sum() for b in data.train + data.test],
+                               [2.8662853103358943, 2.8935367625754527,
+                                2.9867404688578674, -0.8592351300180329], rtol=1e-9)
+
+
+def test_feature_split_is_pinned_by_its_seed(tmp_path):
+    # row i holds i, so the inputs name the rows each side drew
+    (tmp_path / "v.txt").write_text("\n".join(str(i) for i in range(10)) + "\n")
+    (tmp_path / "y.txt").write_text("0\n1\n" * 5)
+    data = load_feature_views([str(tmp_path / "v.txt")], str(tmp_path / "y.txt"),
+                              train_fraction=0.6)
+    assert [b.inputs[:, 0].tolist() for b in data.train] == [[8, 6, 4], [5, 9, 7]]
+    assert [b.inputs[:, 0].tolist() for b in data.test] == [[2, 0], [1, 3]]
 
 
 def test_feature_tables_round_trip_and_remap(tmp_path, monkeypatch):
@@ -409,6 +441,12 @@ def test_feature_table_errors(tmp_path):
     ragged.write_text("1 2\n3 4 5\n")
     with pytest.raises(FeatureTableError, match="row 1: expected 2 columns, got 3"):
         load_feature_views([str(ragged)], str(y))
+    # the first row sets the width and the delimiter
+    for text, message in (("1 2 3\n4 5\n", "row 1: expected 3 columns, got 2"),
+                          ("1,2\n3 4\n", "row 1: expected 2 columns, got 1")):
+        ragged.write_text(text)
+        with pytest.raises(FeatureTableError, match=f"{re.escape(repr(str(ragged)))} {message}$"):
+            load_feature_views([str(ragged)], str(y))
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n3 oops\n")
     with pytest.raises(FeatureTableError, match="row 1, column 1: not numeric"):
@@ -461,6 +499,12 @@ def test_feature_split_keeps_a_test_sample_per_class(tmp_path):
     (tmp_path / "y1.txt").write_text("0\n0\n0\n0\n0\n0\n0\n1\n")
     with pytest.raises(ValueError, match="too few samples"):
         load_feature_views([str(tmp_path / "v.txt")], str(tmp_path / "y1.txt"))
+    # 3 samples at 0.2: round(0.6) keeps one training row, and two test rows
+    (tmp_path / "y3.txt").write_text("0\n0\n0\n1\n1\n1\n1\n1\n")
+    data = load_feature_views([str(tmp_path / "v.txt")], str(tmp_path / "y3.txt"),
+                              train_fraction=0.2)
+    assert train_pool(data)[0, 0].num_samples == 1
+    assert [b for b in data.test if b.class_id == 0][0].num_samples == 2
 
 
 def test_zscore_uses_train_statistics():

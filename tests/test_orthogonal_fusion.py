@@ -172,6 +172,11 @@ def test_fusion_layer_seeded_init_and_forward(rng):
         a.forward(X[:, :5])
     with pytest.raises(ValueError, match="layer dims must be >= 1, got 7, 0"):
         FusionLayer(7, 0)
+    with pytest.raises(ValueError, match="layer dims must be >= 1, got 0, 4"):
+        FusionLayer(0, 4)
+    # one unit in and out is the narrowest layer
+    one = FusionLayer(1, 1, seed=11)
+    assert np.allclose(one.forward(X[:, :1]), np.tanh(X[:, :1] @ one.weights))
     with pytest.raises(ValueError, match="eta must be > 0, got 0"):
         FusionLayer(7, 4, eta=0)
 

@@ -70,6 +70,8 @@ def test_removed_members_and_parameters_are_gone():
     assert not hasattr(mvcil.FusionLayer(2, 2), "activation")
     assert [f.name for f in dataclasses.fields(mvcil.ViewFeature)] == ["features", "sparsity"]
     assert not hasattr(mvcil.Model, "hidden")
+    # the head closes its own class: expand_head calls end_of_class
+    assert not hasattr(mvcil.Model, "_finish_class")
     assert not hasattr(mvcil.FusionLayer, "d_in")
     assert not hasattr(mvcil.FusionLayer, "d_out")
     step = inspect.signature(mvcil.FusionLayer.orthogonal_step).parameters

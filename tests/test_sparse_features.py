@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from mvcil import sparse_features
 from mvcil.sparse_features import (
     ExtractionConfig,
+    ViewFeature,
     extract_view_feature,
     fista_fit,
 )
@@ -142,6 +145,11 @@ def test_fista_validates_shapes(rng):
         fista_fit(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)), -0.1, 5)
     with pytest.raises(ValueError, match="nonempty"):
         fista_fit(np.zeros((5, 0)), rng.standard_normal((5, 2)), 0.1, 5)
+    # each malformed operand alone is refused by the one shape check
+    for z_shape, x_shape in (((5,), (5, 2)), ((5, 3), (5,)), ((5, 3), (6, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"row counts must match, got Z {z_shape} and X {x_shape}")):
+            fista_fit(np.ones(z_shape), np.ones(x_shape), 0.1, 5)
 
 
 @pytest.mark.parametrize("dim", [784, 32])
@@ -195,8 +203,9 @@ def test_encoder_shape_and_range():
     assert enc.bias.shape == (10,)
     assert np.all(np.abs(enc.weights) <= 1.0)
     assert np.all(np.abs(enc.bias) <= 1.0)
-    with pytest.raises(ValueError, match="input_dim"):
+    with pytest.raises(ValueError, match="^input_dim must be >= 1, got 0$"):
         ExtractionConfig().make_encoder(0, seed=0)
+    assert ExtractionConfig(n=1, L=2).make_encoder(1, seed=0).weights.shape == (1, 2)
 
 
 def test_extract_view_feature_contract(rng):
@@ -243,6 +252,27 @@ def test_extract_sparsity_increases_with_lam(rng):
     assert hi.sparsity >= lo.sparsity
 
 
+def test_sparsity_is_the_share_of_exact_zero_decoder_entries(rng):
+    n, L, dim = 3, 4, 9
+    enc = ExtractionConfig(n=n, L=L).make_encoder(dim, seed=3)
+    X = rng.uniform(0, 1, size=(20, dim))
+    codes = X @ enc.weights + enc.bias
+    shares = []
+    for lam in (0.0, 0.5, 1e6):
+        zeros = sum(int(np.count_nonzero(fista_fit(codes[:, g * L:(g + 1) * L], X, lam, 20) == 0))
+                    for g in range(n))
+        vf = extract_view_feature(enc, Batch(X), ExtractionConfig(lam=lam, max_iter=20))
+        assert vf.sparsity == zeros / (n * L * dim)
+        shares.append(vf.sparsity)
+    assert shares[0] == 0.0 and 0.0 < shares[1] < 1.0 and shares[2] == 1.0
+
+
+def test_view_feature_refuses_a_non_finite_entry():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^view feature contains non-finite entries$"):
+            ViewFeature(np.array([[0.5, bad]]), 0.0)
+
+
 def test_extraction_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(n=0)
@@ -252,4 +282,9 @@ def test_extraction_config_validation():
         ExtractionConfig(max_iter=0)
     cfg = ExtractionConfig()
     assert cfg.make_encoder(10, seed=1).input_dim == 10
+    # the documented minimums: one group and one FISTA iteration extract a feature
+    cfg = ExtractionConfig(n=1, max_iter=1)
+    X = np.random.default_rng(0).uniform(0, 1, (3, 4))
+    feats = extract_view_feature(cfg.make_encoder(4, seed=0), Batch(X), cfg).features
+    assert feats.shape == (3, 20)
 

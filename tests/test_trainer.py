@@ -1,7 +1,9 @@
 import gc
+import inspect
 import json
 import os
 import re
+import time
 import weakref
 
 import numpy as np
@@ -10,11 +12,12 @@ import pytest
 import spec
 from mvcil import container, evaluation, trainer
 from mvcil.cli import EXIT_CONFIG, main
-from mvcil.consolidation import IMPRINT_SCALE
+from mvcil.consolidation import IMPRINT_SCALE, DecisionHead
 from mvcil.dataset import (
     SplitDataset,
     StreamProtocol,
     ViewBatch,
+    load_feature_views,
     save_split,
     stream_sessions,
 )
@@ -97,7 +100,10 @@ def test_out_of_order_stream_rejected():
     model = Model(tiny_config())
     model.train_session(pool[0, 0])
     model.train_session(pool[1, 0])
-    with pytest.raises(ValueError, match="out-of-order"):
+    model.train_session(pool[2, 0])
+    # the message names the newest class, the only one a session may continue
+    with pytest.raises(ValueError, match="^out-of-order session: class 0 reappeared after "
+                                         "class 2$"):
         model.train_session(pool[0, 1])
 
 
@@ -122,6 +128,55 @@ def test_state_size_independent_of_sessions_per_class():
         model.finish_stream()
         sizes.append(model.state_size_bytes())
     assert sizes[0] == sizes[1]
+
+
+def test_a_checkpoint_saved_before_the_first_session_resumes(tmp_path):
+    # `mvcil eval` refuses it, but it loads, and a stream resumed from it is the whole stream
+    path = str(tmp_path / "fresh.mvcl")
+    Model(tiny_config()).save_checkpoint(path)
+    resumed = Model.load_checkpoint(path)
+    assert (resumed.slot_to_class, resumed.session_index) == ([], 0)
+    data, protocol = tiny_data()
+    whole = run(tiny_config(), data, protocol).model
+    for batch in stream_sessions(protocol, data):
+        resumed.train_session(batch)
+    resumed.finish_stream()
+    for x, y in zip(model_arrays(whole), model_arrays(resumed)):
+        assert np.array_equal(x, y)
+
+
+def test_mu_0_pools_nothing_and_trains_as_net2_orth_both():
+    # net2_orth_both is full without the consolidation penalty: at mu = 0
+    # the two are one learner, and no Fisher is pooled or anchored
+    data, protocol = tiny_data()
+    cons = ConsolidationConfig(mu=0.0, epochs_per_session=2, head_lr=3e-3)
+    full = run(tiny_config(consolidation=cons), data, protocol)
+    net2 = run(tiny_config(mode="net2_orth_both", consolidation=cons), data, protocol)
+    for x, y in zip(model_arrays(full.model), model_arrays(net2.model)):
+        assert np.array_equal(x, y)
+    assert np.array_equal(full.matrix.R, net2.matrix.R, equal_nan=True)
+    assert full.model.head.anchor.shape == (8, 0)
+    assert not full.model.head.fisher_sum.any()
+
+
+def test_any_positive_mu_pools_a_fisher_estimate():
+    data, protocol = tiny_data(num_classes=1, views=1)
+    model = Model(tiny_config(consolidation=ConsolidationConfig(mu=0.5)))
+    model.train_session(protocol.check(data)[0, 0])
+    assert model.head.pending.sample_count == 10
+
+
+def test_component_defaults_restate_the_run_config_defaults():
+    def defaults(f):
+        return {name: p.default for name, p in inspect.signature(f).parameters.items()}
+
+    cfg = RunConfig()
+    assert defaults(DecisionHead)["mu"] == cfg.consolidation.mu
+    assert defaults(Projector)["alpha"] == cfg.fusion.alpha == cfg.fusion.head_projector_alpha
+    fusion = defaults(FusionLayer)
+    assert (fusion["eta"], fusion["alpha"], fusion["seed"]) == (cfg.fusion.eta, cfg.fusion.alpha,
+                                                                cfg.seed)
+    assert defaults(load_feature_views)["seed"] == cfg.seed
 
 
 def test_loaded_model_builds_its_encoder_on_first_use(tmp_path):
@@ -322,6 +377,15 @@ def test_checkpoint_shapes_must_match_config_and_slots(tiny_checkpoint, tmp_path
     container.write_container(path, {**header, **header_changes}, {**arrays, **array_changes})
     with pytest.raises(container.ContainerError, match=re.escape(message)):
         Model.load_checkpoint(path)
+
+
+def test_a_checkpoint_slot_id_past_the_class_count_loads(tiny_checkpoint, tmp_path):
+    # any id an int64 holds is a class id
+    header, arrays = tiny_checkpoint
+    slots = [*header["slot_to_class"][:-1], 200]
+    path = str(tmp_path / "slot200.mvcl")
+    container.write_container(path, {**header, "slot_to_class": slots}, arrays)
+    assert Model.load_checkpoint(path).slot_to_class == slots
 
 
 def test_pending_fisher_pools_every_view_of_the_class(tmp_path, monkeypatch):
@@ -632,6 +696,27 @@ def test_config_field_types_cover_all_knobs():
     assert all("." in k or k in ("seed", "mode") for k in types)
     # a new knob must change this count on purpose
     assert len(types) == 16
+
+
+def test_run_records_counts_times_and_its_schema(tmp_path):
+    data, protocol = tiny_data()
+    # class 1 loses a test view, so each class has its own test count
+    data = SplitDataset(data.train, [b for b in data.test if (b.class_id, b.view_id) != (1, 1)],
+                        data.num_classes, data.views_per_class, data.input_dim)
+    out = str(tmp_path / "out")
+    start = time.perf_counter()
+    run(tiny_config(), data, protocol, out_dir=out)
+    wall = time.perf_counter() - start
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["schema_version"] == 1
+    seconds = manifest["session_seconds"]
+    assert len(seconds) == manifest["num_sessions"] == 6
+    assert min(seconds) >= 0 and sum(seconds) <= wall
+    matrix = parse_report(os.path.join(out, "report.csv"))
+    tested = {0: 12, 1: 6, 2: 12}
+    for after, slot in zip(*np.nonzero(matrix.mask)):
+        assert matrix.n_samples[after, slot] == tested[manifest["slot_to_class"][slot]]
 
 
 def test_run_writes_report_checkpoint_manifest(tmp_path):
